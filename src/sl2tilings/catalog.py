@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import ValidationError
-from .matrices import Matrix, det3
+from .matrices import Matrix, det3_scan
 from .rings import INTEGERS, POLYNOMIALS, ModularRing, RingSpec
 from .tiling import (
     FormalParameters,
@@ -23,6 +23,7 @@ from .tiling import (
     PeriodicBlock,
     RuleBased,
     SublatticeSpec,
+    extract_window,
 )
 
 WILDEST_LATTICE = SublatticeSpec(u=3, v=1, m=10, t=6)
@@ -113,17 +114,11 @@ def pqrs_det3_spectrum(params: PqrsParams) -> set[int]:
     Asserts the set lies inside {pqr, pqs, prs, qrs} mod N with 0 excluded;
     a failure indicates an implementation bug, not bad input.
     """
-    t = pqrs_tiling(params)
+    frame = extract_window(pqrs_tiling(params), -1, -1, 6, 6).matrix.to_int_rows()
     n = params.modulus
     p, q, r, s = params.p, params.q, params.r, params.s
     allowed = {x % n for x in (p * q * r, p * q * s, p * r * s, q * r * s)}
-    spectrum = set()
-    for i in range(4):
-        for j in range(4):
-            rows = [
-                [t.entry(i + di, j + dj) for dj in (-1, 0, 1)] for di in (-1, 0, 1)
-            ]
-            spectrum.add(det3(rows).payload)
+    spectrum = {d % n for d in det3_scan(frame)}
     if not spectrum <= allowed:
         raise AssertionError(f"det3 spectrum {spectrum} escapes {allowed}")
     if 0 in spectrum:

@@ -1,21 +1,25 @@
 """Small exact matrices and the linear algebra the tilings need.
 
-Determinants of order up to 3 are expanded directly and work over any of
-the entry rings.  Larger determinants and ranks use fraction-free Bareiss
-elimination, which stays inside the ring but requires exact division and is
-therefore restricted to the integral domains (integers and polynomials).
+Determinants of order 2 and 3 are expanded directly and work over any of
+the entry rings, and on plain ints.  The two neighbourhood scans, every
+adjacent 2x2 minor and every centered 3x3 minor of a rectangular frame, are
+built on them.  Ranks use fraction-free Bareiss elimination, which stays
+inside the ring but requires exact division and is therefore restricted to
+the integral domains (integers and polynomials).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence, TypeVar, Union
 
 from .errors import StructuralError, UnsupportedOperationError, ValidationError
 from .rings import ModularRing, RingSpec, RingValue, divexact
 
-MAX_BAREISS_DIM = 12
+# Minors take ring values, or plain ints standing for values of Z or Z/N
+# (reduced by the caller, once per minor).
+Scalar = TypeVar("Scalar", bound=Union[int, RingValue])
 
 
 @dataclass(frozen=True)
@@ -75,62 +79,30 @@ class Matrix:
         return "\n".join(lines)
 
 
-def det2(a: RingValue, b: RingValue, c: RingValue, d: RingValue) -> RingValue:
+def det2(a: Scalar, b: Scalar, c: Scalar, d: Scalar) -> Scalar:
     return a * d - b * c
 
 
-def det3(r: Sequence[Sequence[RingValue]]) -> RingValue:
+def det3(r: Sequence[Sequence[Scalar]]) -> Scalar:
     """Direct expansion of a 3x3 determinant given as three rows."""
     (a, b, c), (d, e, f), (g, h, i) = r
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-def det(m: Matrix) -> RingValue:
-    """Exact determinant.
-
-    Orders 1 to 3 expand directly over any ring.  Orders 4 to 12 run
-    fraction-free elimination and need an integral domain; residue rings and
-    larger orders raise UnsupportedOperationError.
-    """
-    if m.rows != m.cols:
-        raise StructuralError(f"determinant of a {m.rows}x{m.cols} matrix")
-    n = m.rows
-    if n == 1:
-        return m.at(0, 0)
-    if n == 2:
-        return det2(m.at(0, 0), m.at(0, 1), m.at(1, 0), m.at(1, 1))
-    if n == 3:
-        return det3([m.row(0), m.row(1), m.row(2)])
-    if isinstance(m.spec, ModularRing):
-        raise UnsupportedOperationError(
-            "determinants over residue rings are limited to order 3"
-        )
-    if n > MAX_BAREISS_DIM:
-        raise UnsupportedOperationError(f"determinant order {n} exceeds limit {MAX_BAREISS_DIM}")
-    return _bareiss_det(m)
+def det2_scan(frame: Sequence[Sequence[Scalar]]) -> Iterator[Scalar]:
+    """det2 of every adjacent 2x2 window of a rectangular frame, row-major by
+    top-left cell: (rows - 1) x (cols - 1) values."""
+    for upper, lower in zip(frame, frame[1:]):
+        for c in range(len(upper) - 1):
+            yield det2(upper[c], upper[c + 1], lower[c], lower[c + 1])
 
 
-def _bareiss_det(m: Matrix) -> RingValue:
-    n = m.rows
-    a = [[m.at(i, j) for j in range(n)] for i in range(n)]
-    spec = m.spec
-    sign = 1
-    prev = spec.one()
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            pivot_row = next((r for r in range(k + 1, n) if not a[r][k].is_zero()), None)
-            if pivot_row is None:
-                return spec.zero()
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = divexact(num, prev)
-            a[i][k] = spec.zero()
-        prev = a[k][k]
-    result = a[n - 1][n - 1]
-    return result if sign == 1 else -result
+def det3_scan(frame: Sequence[Sequence[Scalar]]) -> Iterator[Scalar]:
+    """det3 centered on every interior cell of a rectangular frame, row-major:
+    (rows - 2) x (cols - 2) values."""
+    for above, row, below in zip(frame, frame[1:], frame[2:]):
+        for c in range(len(row) - 2):
+            yield det3((above[c : c + 3], row[c : c + 3], below[c : c + 3]))
 
 
 def _term_count(v: RingValue) -> int:

@@ -15,15 +15,14 @@ A brute-force oracle enumerates every block with numpy for cross-checking.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import gcd
 
-import numpy as np
-
 from .errors import UnsupportedOperationError, ValidationError
-from .matrices import CongruenceSolutions, solve_linear_congruence
+from .matrices import CongruenceSolutions, det2, det3, solve_linear_congruence
 
 ORACLE_STATE_GUARD = 1 << 28
 
@@ -73,26 +72,21 @@ def block_is_sl2(block: Block, modulus: int) -> bool:
     """Every wrapped 2x2 determinant equals 1."""
     h = len(block)
     w = len(block[0])
-    for i in range(h):
-        for j in range(w):
-            a = block[i][j]
-            b = block[i][(j + 1) % w]
-            c = block[(i + 1) % h][j]
-            d = block[(i + 1) % h][(j + 1) % w]
-            if (a * d - b * c) % modulus != 1:
-                return False
-    return True
+    return all(
+        det2(
+            block[i][j], block[i][(j + 1) % w],
+            block[(i + 1) % h][j], block[(i + 1) % h][(j + 1) % w],
+        ) % modulus == 1
+        for i in range(h)
+        for j in range(w)
+    )
 
 
 def _wrapped_det3(block: Block, i: int, j: int, modulus: int) -> int:
     h = len(block)
     w = len(block[0])
-    r = [
-        [block[(i + di) % h][(j + dj) % w] for dj in (-1, 0, 1)]
-        for di in (-1, 0, 1)
-    ]
-    (a, b, c), (d, e, f), (g, hh, ii) = r
-    return (a * (e * ii - f * hh) - b * (d * ii - f * g) + c * (d * hh - e * g)) % modulus
+    rows = [[block[(i + di) % h][(j + dj) % w] for dj in (-1, 0, 1)] for di in (-1, 0, 1)]
+    return det3(rows) % modulus
 
 
 def block_is_fully_wild(block: Block, modulus: int) -> bool:
@@ -198,20 +192,20 @@ def search_fully_wild(config: SearchConfig) -> SearchResult:
     domain = (
         _nonunits(config.modulus) if config.prune_nonunits else list(range(config.modulus))
     )
-    workers = config.worker_count
+    # More workers than first-cell values would only get empty groups.
+    workers = min(config.worker_count, len(domain))
     if workers == 1:
         parts = [(config.modulus, config.rows, config.cols, domain, domain, config.node_budget)]
         outcomes = [_search_partition(parts[0])]
     else:
         groups = [domain[k::workers] for k in range(workers)]
-        groups = [g for g in groups if g]
         budget = config.node_budget
         per_worker = None if budget is None else -(-budget // len(groups))
         parts = [
             (config.modulus, config.rows, config.cols, g, domain, per_worker)
             for g in groups
         ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(len(groups), os.cpu_count() or 1)) as pool:
             outcomes = list(pool.map(_search_partition, parts))
     merged: set[Block] = set()
     nodes = 0
@@ -241,6 +235,8 @@ def brute_force_oracle(
             f"{modulus}^{cells} = {total} states exceeds the 2^28 oracle guard; "
             "pass allow_large to override"
         )
+    import numpy as np  # here, not at the top: the oracle is numpy's only user
+
     start = time.perf_counter()
     windows = []
     for i in range(rows):

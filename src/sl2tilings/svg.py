@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from xml.sax.saxutils import escape
 
 from .errors import ValidationError
-from .matrices import det3
 from .tiling import (
     CellColor,
     Patched,
@@ -20,10 +19,10 @@ from .tiling import (
     TilingModel,
     Violation,
     Window,
-    _value_color,
     verify_sl2,
     verify_window,
     wildness_report,
+    window_colors,
 )
 
 COLOR_HEX = {
@@ -70,29 +69,6 @@ def default_region(obj: TilingModel | Window) -> tuple[int, int, int, int]:
     return (0, 0, 8, 8)
 
 
-def _window_cells(win: Window) -> tuple[list[list[CellColor]], list[list[str]]]:
-    """Colors and labels for a bare window; boundary cells have no visible
-    3x3 neighborhood, so only interior cells can show as wild."""
-    colors = []
-    labels = []
-    for r in range(win.rows):
-        crow = []
-        lrow = []
-        for c in range(win.cols):
-            v = win.at(r, c)
-            wild = False
-            if 1 <= r < win.rows - 1 and 1 <= c < win.cols - 1:
-                d3 = det3(
-                    [[win.at(r + dr, c + dc) for dc in (-1, 0, 1)] for dr in (-1, 0, 1)]
-                )
-                wild = not d3.is_zero()
-            crow.append(_value_color(v, wild, False))
-            lrow.append(str(v))
-        colors.append(crow)
-        labels.append(lrow)
-    return colors, labels
-
-
 def render_svg(
     obj: TilingModel | Window,
     region: tuple[int, int, int, int] | None = None,
@@ -105,9 +81,9 @@ def render_svg(
             fault = verify_window(obj)
             if fault is not None:
                 raise UnverifiedModelError(fault)
-        win = obj
-        colors, labels = _window_cells(win)
-        h, w = win.rows, win.cols
+        h, w = obj.rows, obj.cols
+        colors = window_colors(obj)
+        labels = [[str(obj.at(r, c)) for c in range(w)] for r in range(h)]
     else:
         if not force:
             fault = verify_sl2(obj)

@@ -21,10 +21,10 @@ import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt, lcm
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
 from .errors import StructuralError, UnsupportedOperationError, ValidationError
-from .matrices import Matrix, det2, det3, corner_det3
+from .matrices import Matrix, corner_det3, det2_scan, det3, det3_scan
 from .rings import (
     INTEGERS,
     POLYNOMIALS,
@@ -277,8 +277,16 @@ class Violation:
     value: RingValue
 
 
-def _window_det(t: TilingModel, i: int, j: int) -> RingValue:
-    return det2(t.entry(i, j), t.entry(i, j + 1), t.entry(i + 1, j), t.entry(i + 1, j + 1))
+def _minors(scan: Callable[[list], Iterator], m: Matrix) -> Iterator[RingValue]:
+    """A minor scan of matrices.py over the rows of ``m``, as ring values.
+
+    Over Z and Z/N the scan runs on plain ints and each minor is reduced
+    once; over Z[a] it runs on the values themselves.
+    """
+    rows = [m.row(r) for r in range(m.rows)]
+    if isinstance(m.spec, PolynomialRing):
+        return scan(rows)
+    return map(m.spec.value, scan([[v.payload for v in row] for row in rows]))
 
 
 def _formal_twin(t: Patched) -> Patched:
@@ -304,47 +312,22 @@ def verify_sl2(t: TilingModel) -> Violation | None:
     background-zero invariant cover every translate.
     """
     if isinstance(t, RuleBased):
-        one = t.ring.one()
-        for d in range(4):
-            v = _window_det(t, 0, d)
-            if v != one:
-                return Violation(0, d, v)
-        return None
+        return verify_window(extract_window(t, 0, 0, 2, 5))
     if isinstance(t, PeriodicBlock):
-        one = t.ring.one()
-        h, w = t.h, t.w
-        for i in range(h):
-            for j in range(w):
-                v = det2(
-                    t.block.at(i, j),
-                    t.block.at(i, (j + 1) % w),
-                    t.block.at((i + 1) % h, j),
-                    t.block.at((i + 1) % h, (j + 1) % w),
-                )
-                if v != one:
-                    return Violation(i, j, v)
-        return None
+        return verify_window(extract_window(t, 0, 0, t.h + 1, t.w + 1))
     twin = _formal_twin(t)
-    one = twin.ring.one()
-    base_fault = verify_sl2(twin.base)
-    if base_fault is not None:
-        return base_fault
-    for k in range(twin.lattice.m):
-        v = _window_det(twin, 0, k)
-        if v != one:
-            return Violation(0, k, v)
-    return None
+    return verify_sl2(twin.base) or verify_window(extract_window(twin, 0, 0, 2, twin.lattice.m + 1))
 
 
 def verify_window(win: Window) -> Violation | None:
-    """Check every 2x2 window lying fully inside a finite grid."""
+    """First 2x2 window lying fully inside a finite grid, row-major, whose
+    determinant differs from 1."""
     one = win.matrix.spec.one()
     oi, oj = win.origin
-    for r in range(win.rows - 1):
-        for c in range(win.cols - 1):
-            v = det2(win.at(r, c), win.at(r, c + 1), win.at(r + 1, c), win.at(r + 1, c + 1))
-            if v != one:
-                return Violation(oi + r, oj + c, v)
+    for k, v in enumerate(_minors(det2_scan, win.matrix)):
+        if v != one:
+            r, c = divmod(k, win.cols - 1)
+            return Violation(oi + r, oj + c, v)
     return None
 
 
@@ -404,7 +387,11 @@ def wildness_report(t: TilingModel, i0: int, j0: int, h: int, w: int) -> Wildnes
     """
     if h < 1 or w < 1:
         raise ValidationError(f"window shape must be positive, got {h}x{w}")
-    frame = [[t.entry(i0 - 1 + r, j0 - 1 + c) for c in range(w + 2)] for r in range(h + 2)]
+    frame = extract_window(t, i0 - 1, j0 - 1, h + 2, w + 2)
+    d3s = _minors(det3_scan, frame.matrix)
+    # One det2 per frame window, (h + 1) x (w + 1); the region's windows
+    # are those past row 0 and column 0.
+    d2s = list(_minors(det2_scan, frame.matrix))
     lattice = t.lattice if isinstance(t, Patched) else None
     one = t.ring.one()
     wild_rows = []
@@ -414,16 +401,11 @@ def wildness_report(t: TilingModel, i0: int, j0: int, h: int, w: int) -> Wildnes
         wr = []
         cr = []
         for c in range(w):
-            d3 = det3([frame[r + dr][c : c + 3] for dr in range(3)])
-            wild = not d3.is_zero()
-            value = frame[r + 1][c + 1]
+            wild = not next(d3s).is_zero()
             is_param = lattice is not None and lattice.contains(i0 + r, j0 + c)
             wr.append(wild)
-            cr.append(_value_color(value, wild, is_param))
-            v = det2(
-                frame[r + 1][c + 1], frame[r + 1][c + 2],
-                frame[r + 2][c + 1], frame[r + 2][c + 2],
-            )
+            cr.append(_value_color(frame.at(r + 1, c + 1), wild, is_param))
+            v = d2s[(r + 1) * (w + 1) + c + 1]
             if v != one:
                 violations.append(Violation(i0 + r, j0 + c, v))
         wild_rows.append(tuple(wr))
@@ -563,8 +545,19 @@ def _interior_cells(win: Window):
             yield r, c
 
 
-def _win_det3(win: Window, r: int, c: int) -> RingValue:
-    return det3([[win.at(r + dr - 1, c + dc - 1) for dc in range(3)] for dr in range(3)])
+def _interior_det3s(win: Window):
+    """((r, c), det3 centered there) for every interior cell, row-major."""
+    return zip(_interior_cells(win), _minors(det3_scan, win.matrix))
+
+
+def window_colors(win: Window) -> list[list[CellColor]]:
+    """Display colors of a bare window; boundary cells have no visible 3x3
+    neighborhood, so only interior cells can show as wild."""
+    wild = {cell: not d3.is_zero() for cell, d3 in _interior_det3s(win)}
+    return [
+        [_value_color(win.at(r, c), wild.get((r, c), False), False) for c in range(win.cols)]
+        for r in range(win.rows)
+    ]
 
 
 def dodgson_audit(win: Window) -> AuditFinding | None:
@@ -572,9 +565,8 @@ def dodgson_audit(win: Window) -> AuditFinding | None:
     additionally check that wild cells hold 0."""
     domain = not isinstance(win.matrix.spec, ModularRing)
     oi, oj = win.origin
-    for r, c in _interior_cells(win):
+    for (r, c), d3 in _interior_det3s(win):
         e = win.at(r, c)
-        d3 = _win_det3(win, r, c)
         if not (e * d3).is_zero():
             return AuditFinding(
                 oi + r, oj + c, "dodgson", f"entry {e} times det3 {d3} is nonzero"
@@ -589,8 +581,7 @@ def dodgson_audit(win: Window) -> AuditFinding | None:
 def corner_audit(win: Window) -> AuditFinding | None:
     """Check det3 = (a+c+g+i) + (cg - ai)*e at every interior cell."""
     oi, oj = win.origin
-    for r, c in _interior_cells(win):
-        d3 = _win_det3(win, r, c)
+    for (r, c), d3 in _interior_det3s(win):
         predicted = corner_det3(
             win.at(r, c),
             (win.at(r - 1, c - 1), win.at(r - 1, c + 1), win.at(r + 1, c - 1), win.at(r + 1, c + 1)),
@@ -609,7 +600,7 @@ def zero_cross_audit(win: Window) -> AuditFinding | None:
     if isinstance(win.matrix.spec, ModularRing):
         raise UnsupportedOperationError("zero-cross conditions hold over integral domains")
     oi, oj = win.origin
-    for r, c in _interior_cells(win):
+    for (r, c), d3 in _interior_det3s(win):
         if not win.at(r, c).is_zero():
             continue
         n = win.at(r - 1, c)
@@ -623,7 +614,7 @@ def zero_cross_audit(win: Window) -> AuditFinding | None:
                 oi + r, oj + c, "cross-pattern",
                 f"zero with side neighbors ({n}, {w}, {e}, {s})",
             )
-        if not _win_det3(win, r, c).is_zero():
+        if not d3.is_zero():
             diagonals = [
                 win.at(r - 1, c - 1), win.at(r - 1, c + 1),
                 win.at(r + 1, c - 1), win.at(r + 1, c + 1),
@@ -633,8 +624,3 @@ def zero_cross_audit(win: Window) -> AuditFinding | None:
                     oi + r, oj + c, "wild-isolated", "wild zero with all diagonals zero"
                 )
     return None
-
-
-def count_nonzero_diagonals(win: Window, r: int, c: int) -> int:
-    offsets = ((-1, -1), (-1, 1), (1, -1), (1, 1))
-    return sum(1 for dr, dc in offsets if not win.at(r + dr, c + dc).is_zero())

@@ -317,6 +317,10 @@ class TestTopLevel:
             proc = _python(tmp_path, "-m", module, *args)
             assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected.stdout, b"")
 
+    def test_cli_import_leaves_numpy_unloaded(self, tmp_path):
+        proc = _python(tmp_path, "-c", "import sys, sl2tilings.cli; print('numpy' in sys.modules)")
+        assert (proc.returncode, proc.stdout) == (0, b"False\n")
+
     def test_module_without_arguments(self, tmp_path):
         proc = _python(tmp_path, "-m", "sl2tilings")
         assert proc.returncode == 2

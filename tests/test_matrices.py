@@ -11,15 +11,13 @@ from sl2tilings import (
     CongruenceSolutions,
     Matrix,
     ModularRing,
-    StructuralError,
-    UnsupportedOperationError,
     bareiss_rank,
     corner_det3,
-    det,
     det2,
     det3,
     solve_linear_congruence,
 )
+from sl2tilings.matrices import det2_scan, det3_scan
 
 
 def fraction_det(rows):
@@ -76,58 +74,94 @@ class TestDeterminant:
 
     def test_small_sizes_match_reference(self):
         rng = random.Random(11)
-        for n in range(1, 7):
+        for n in (2, 3):
             for _ in range(20):
                 rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-                m = Matrix.from_ints(INTEGERS, rows)
-                assert det(m).payload == fraction_det(rows)
+                assert small_det(INTEGERS, rows).payload == fraction_det(rows)
 
     def test_singular(self):
         rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
-        assert det(Matrix.from_ints(INTEGERS, rows)).is_zero()
+        assert small_det(INTEGERS, rows).is_zero()
 
     def test_large_entries(self):
         rng = random.Random(5)
-        rows = [[rng.randint(-(10**12), 10**12) for _ in range(5)] for _ in range(5)]
-        assert det(Matrix.from_ints(INTEGERS, rows)).payload == fraction_det(rows)
+        rows = [[rng.randint(-(10**12), 10**12) for _ in range(3)] for _ in range(3)]
+        assert small_det(INTEGERS, rows).payload == fraction_det(rows)
 
     def test_modular_small_matches_integer_det(self):
         rng = random.Random(3)
         ring = ModularRing(97)
-        for n in (1, 2, 3):
+        for n in (2, 3):
             rows = [[rng.randint(0, 96) for _ in range(n)] for _ in range(n)]
-            m = Matrix.from_ints(ring, rows)
-            assert det(m).payload == fraction_det(rows) % 97
-
-    def test_modular_large_unsupported(self):
-        ring = ModularRing(6)
-        m = Matrix.from_ints(ring, [[1] * 4 for _ in range(4)])
-        with pytest.raises(UnsupportedOperationError):
-            det(m)
-
-    def test_dimension_guard(self):
-        m = Matrix.from_ints(INTEGERS, [[0] * 13 for _ in range(13)])
-        with pytest.raises(UnsupportedOperationError):
-            det(m)
-
-    def test_non_square_rejected(self):
-        m = Matrix.from_ints(INTEGERS, [[1, 2, 3], [4, 5, 6]])
-        with pytest.raises(StructuralError):
-            det(m)
+            assert small_det(ring, rows).payload == fraction_det(rows) % 97
 
     def test_symbolic_det(self):
         a = [POLYNOMIALS.variable(k) for k in range(1, 5)]
-        m = Matrix.from_rows(POLYNOMIALS, [[a[0], a[1]], [a[2], a[3]]])
-        assert det(m) == a[0] * a[3] - a[1] * a[2]
+        assert det2(*a) == a[0] * a[3] - a[1] * a[2]
 
     @settings(max_examples=40)
-    @given(st.integers(1, 4), st.data())
+    @given(st.integers(2, 3), st.data())
     def test_det_property(self, n, data):
         rows = data.draw(
             st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n),
                      min_size=n, max_size=n))
-        m = Matrix.from_ints(INTEGERS, rows)
-        assert det(m).payload == fraction_det(rows)
+        assert small_det(INTEGERS, rows).payload == fraction_det(rows)
+
+
+def small_det(ring, rows):
+    """det2 or det3 of a 2x2 or 3x3 integer matrix, as a value of ``ring``."""
+    values = [[ring.value(v) for v in row] for row in rows]
+    return det2(*values[0], *values[1]) if len(rows) == 2 else det3(values)
+
+
+def sub_blocks(frame, k):
+    """Every k x k sub-block of a frame, row-major by top-left cell."""
+    return [
+        [row[c : c + k] for row in frame[r : r + k]]
+        for r in range(len(frame) - k + 1)
+        for c in range(len(frame[0]) - k + 1)
+    ]
+
+
+int_frames = st.integers(1, 6).flatmap(
+    lambda w: st.lists(st.lists(st.integers(-9, 9), min_size=w, max_size=w),
+                       min_size=1, max_size=6))
+
+
+class TestScans:
+    @settings(max_examples=60)
+    @given(int_frames)
+    def test_int_frames_match_reference(self, frame):
+        assert list(det2_scan(frame)) == [fraction_det(b) for b in sub_blocks(frame, 2)]
+        assert list(det3_scan(frame)) == [fraction_det(b) for b in sub_blocks(frame, 3)]
+
+    @settings(max_examples=60)
+    @given(st.integers(2, 40), int_frames)
+    def test_residue_frames_match_reference(self, n, frame):
+        ring = ModularRing(n)
+        values = [[ring.value(v) for v in row] for row in frame]
+        residues = [[v.payload for v in row] for row in values]
+        for scan, k in ((det2_scan, 2), (det3_scan, 3)):
+            want = [fraction_det(b) % n for b in sub_blocks(frame, k)]
+            assert [d.payload for d in scan(values)] == want
+            assert [ring.value(d).payload for d in scan(residues)] == want
+
+    def test_polynomial_frames_match_det2_det3(self):
+        rng = random.Random(7)
+        for rows, cols in ((3, 3), (4, 5), (5, 3), (2, 6)):
+            frame = [
+                [POLYNOMIALS.variable(rng.randint(1, 4)) if rng.random() < 0.5
+                 else POLYNOMIALS.value(rng.randint(-2, 2)) for _ in range(cols)]
+                for _ in range(rows)
+            ]
+            assert list(det2_scan(frame)) == [
+                det2(*b[0], *b[1]) for b in sub_blocks(frame, 2)
+            ]
+            assert list(det3_scan(frame)) == [det3(b) for b in sub_blocks(frame, 3)]
+
+    def test_empty_scans(self):
+        assert list(det2_scan([[1, 2, 3]])) == []
+        assert list(det3_scan([[1, 2], [3, 4], [5, 6]])) == []
 
 
 class TestRank:

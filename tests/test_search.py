@@ -1,5 +1,6 @@
 import pytest
 
+import sl2tilings.search
 from sl2tilings import (
     SearchConfig,
     UnsupportedOperationError,
@@ -117,6 +118,39 @@ class TestSearch:
         assert solo.solutions == multi.solutions
         assert solo.stats.nodes == multi.stats.nodes
         assert solo.stats.solutions == multi.stats.solutions
+
+    def test_large_job_count_is_bounded(self, monkeypatch):
+        # A fake pool that runs in this process and records its size: no real
+        # process is ever started for the large job count.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(sl2tilings.search, "ProcessPoolExecutor", RecordingPool)
+        solo = search_fully_wild(SearchConfig(5, 2, 2))
+        for cpus, pool_size in ((64, 5), (2, 2), (None, 1)):
+            monkeypatch.setattr(sl2tilings.search.os, "cpu_count", lambda: cpus)
+            multi = search_fully_wild(SearchConfig(5, 2, 2, worker_count=10_000))
+            assert sizes[-1] == pool_size
+            assert multi.solutions == solo.solutions
+            assert multi.stats.nodes == solo.stats.nodes
+        # Per-worker budgets are those of one worker per first-cell value.
+        budgeted = [
+            search_fully_wild(SearchConfig(5, 2, 2, node_budget=7, worker_count=j))
+            for j in (5, 10_000)
+        ]
+        assert len({(r.solutions, r.stats.nodes, r.stats.budget_exhausted) for r in budgeted}) == 1
 
     def test_node_counting_monotone(self):
         plain = search_fully_wild(SearchConfig(6, 2, 2))

@@ -24,7 +24,6 @@ from sl2tilings import (
     classify_entry,
     corner_audit,
     corner_det3,
-    count_nonzero_diagonals,
     dodgson_audit,
     extract_window,
     parameter_index,
@@ -177,12 +176,42 @@ class TestVerify:
         t = RuleBased(INTEGERS, tuple(INTEGERS.value(v) for v in (1, 1, 1, 1)))
         assert verify_sl2(t) is not None
 
+    def test_patched_fault_in_last_lattice_window(self):
+        # Every parameter has another one diagonally below-right of it, so the
+        # first faulty window of row 0 is at (0, 3): the last of the m = 4
+        # windows that the check visits past the background.
+        table = tuple(POLYNOMIALS.value(v) for v in (1, 0, -1, 0))
+        lat = SublatticeSpec(3, 1, 4, 3)
+        t = Patched(POLYNOMIALS, RuleBased(POLYNOMIALS, table), lat, FormalParameters())
+        fault = verify_sl2(t)
+        assert (fault.i, fault.j) == (0, 3)
+        assert fault.value == t.entry(0, 3) * t.entry(1, 4) + POLYNOMIALS.one()
+
     def test_verify_window(self, z36):
         win = extract_window(z36, 0, 0, 4, 4)
         assert verify_window(win) is None
         bad = int_window([[1, 1], [1, 1]])
         fault = verify_window(bad)
         assert fault is not None and (fault.i, fault.j) == (0, 0)
+
+    def test_verify_window_reports_first_fault_row_major(self, wildest):
+        rows = extract_window(wildest, 0, 0, 6, 7).matrix.to_int_rows()
+        rows[1][4] += 2  # breaks windows in rows 0 and 1
+        rows[4][1] += 2  # breaks windows in rows 3 and 4, more to the left
+        faults = [
+            (r, c)
+            for r in range(5)
+            for c in range(6)
+            if rows[r][c] * rows[r + 1][c + 1] - rows[r][c + 1] * rows[r + 1][c] != 1
+        ]
+        assert {r for r, _ in faults} == {0, 1, 3, 4}
+        fault = verify_window(int_window(rows, origin=(10, -20)))
+        r, c = faults[0]
+        assert (fault.i, fault.j) == (10 + r, -20 + c)
+        assert min(faults, key=lambda rc: (rc[1], rc[0]))[0] > r  # column-major differs
+        assert fault.value.payload == (
+            rows[r][c] * rows[r + 1][c + 1] - rows[r][c + 1] * rows[r + 1][c]
+        )
 
     def test_random_numeric_assignments_pass(self):
         rng = random.Random(41)
@@ -346,7 +375,8 @@ class TestAudits:
         for r in range(1, 29):
             for c in range(1, 29):
                 if win.at(r, c).is_zero() and classify_entry(wildest, -15 + r, -15 + c)[0]:
-                    assert count_nonzero_diagonals(win, r, c) == 1
+                    diagonals = [win.at(r + dr, c + dc) for dr in (-1, 1) for dc in (-1, 1)]
+                    assert sum(not d.is_zero() for d in diagonals) == 1
 
     def test_zero_cross_unit(self, unit):
         win = extract_window(unit, -15, -15, 30, 30)
