@@ -10,7 +10,10 @@ a linear congruence with gcd-many solutions.  Wrapped windows are checked as
 soon as their last cell is placed.  Solutions are canonicalized by torus
 translation and reported in lexicographic order.
 
-A brute-force oracle enumerates every block with numpy for cross-checking.
+The exhaustive oracle for cross-checking shares no code with the DFS: it
+keeps the pairs of rows whose wrapped 2x2 windows all have determinant 1 and
+walks every cyclic chain of them, so each of the modulus^(rows*cols) blocks
+is either produced or ruled out by a failing row pair.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import product
 from math import gcd
 
 from .errors import UnsupportedOperationError, ValidationError
@@ -222,7 +226,7 @@ def search_fully_wild(config: SearchConfig) -> SearchResult:
 def brute_force_oracle(
     modulus: int, rows: int = 4, cols: int = 4, allow_large: bool = False
 ) -> SearchResult:
-    """Enumerate all modulus^(rows*cols) blocks and filter.
+    """Enumerate all modulus^(rows*cols) blocks by row transfer and filter.
 
     Guarded at 2^28 states; pass ``allow_large`` to override.
     """
@@ -235,40 +239,21 @@ def brute_force_oracle(
             f"{modulus}^{cells} = {total} states exceeds the 2^28 oracle guard; "
             "pass allow_large to override"
         )
-    import numpy as np  # here, not at the top: the oracle is numpy's only user
-
     start = time.perf_counter()
-    windows = []
-    for i in range(rows):
-        for j in range(cols):
-            windows.append(
-                (
-                    i * cols + j,
-                    i * cols + (j + 1) % cols,
-                    ((i + 1) % rows) * cols + j,
-                    ((i + 1) % rows) * cols + (j + 1) % cols,
-                )
-            )
-    powers = np.array([modulus**k for k in range(cells)], dtype=np.int64)
-    survivors: list[int] = []
-    chunk = 1 << 20
-    for base in range(0, total, chunk):
-        ids = np.arange(base, min(base + chunk, total), dtype=np.int64)
-        digits = ((ids[:, None] // powers[None, :]) % modulus).astype(np.int32)
-        for a, b, c, d in windows:
-            keep = (
-                digits[:, a] * digits[:, d] - digits[:, b] * digits[:, c] - 1
-            ) % modulus == 0
-            ids = ids[keep]
-            digits = digits[keep]
-            if ids.size == 0:
-                break
-        survivors.extend(int(x) for x in ids)
+    row_values = list(product(range(modulus), repeat=cols))
+    wraps = [(j, (j + 1) % cols) for j in range(cols)]
+    below = {
+        a: {b for b in row_values
+            if all(det2(a[j], a[k], b[j], b[k]) % modulus == 1 for j, k in wraps)}
+        for a in row_values
+    }
     merged: set[Block] = set()
-    for ident in survivors:
-        flat = [(ident // modulus**k) % modulus for k in range(cells)]
-        block = tuple(tuple(flat[i * cols : (i + 1) * cols]) for i in range(rows))
-        if block_is_fully_wild(block, modulus):
+    stack: list[Block] = [(a,) for a in row_values]
+    while stack:
+        block = stack.pop()
+        if len(block) < rows:
+            stack.extend(block + (b,) for b in below[block[-1]])
+        elif block[0] in below[block[-1]] and block_is_fully_wild(block, modulus):
             merged.add(canonical_block(block))
     solutions = tuple(sorted(merged))
     elapsed = time.perf_counter() - start

@@ -239,6 +239,12 @@ class TestSearch:
         payload = json.loads(out)
         assert payload["stats"]["nodes"] == 256
 
+    def test_oracle_state_guard(self, capsys):
+        code, out, err = run_cli("search", "--modulus", "7", "--oracle", capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == ("error: 7^16 = 33232930569601 states exceeds the 2^28 oracle guard; "
+                       "pass allow_large to override\n")
+
     def test_oracle_flag_conflicts(self, capsys):
         code, _, err = run_cli(
             "search", "--modulus", "4", "--oracle", "--jobs", "2", capsys=capsys)
@@ -320,6 +326,18 @@ class TestTopLevel:
     def test_cli_import_leaves_numpy_unloaded(self, tmp_path):
         proc = _python(tmp_path, "-c", "import sys, sl2tilings.cli; print('numpy' in sys.modules)")
         assert (proc.returncode, proc.stdout) == (0, b"False\n")
+
+    def test_oracle_runs_without_numpy(self, tmp_path, capsys):
+        argv = ["search", "--modulus", "3", "--rows", "3", "--cols", "4", "--json"]
+        code = ("import sys; sys.modules['numpy'] = None; "
+                f"sys.argv = ['sl2', *{argv!r}, '--oracle']; "
+                "from sl2tilings.cli import run; run()")
+        proc = _python(tmp_path, "-c", code)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        oracle = json.loads(proc.stdout)
+        dfs = json.loads(run_cli(*argv, capsys=capsys)[1])
+        assert oracle["solutions"] == dfs["solutions"]
+        assert oracle["stats"]["nodes"] == 3**12
 
     def test_module_without_arguments(self, tmp_path):
         proc = _python(tmp_path, "-m", "sl2tilings")

@@ -168,3 +168,35 @@ class TestOracle:
         assert result.stats.nodes == 3**4
         result = brute_force_oracle(2, 4, 4)
         assert result.stats.nodes == 2**16
+
+    @pytest.mark.parametrize(
+        "modulus, rows, cols, classes, blocks",
+        [(4, 4, 4, 430, 6656), (4, 3, 4, 32, 384), (6, 3, 3, 20, 144), (3, 3, 4, 10, 120)],
+    )
+    def test_equivalence_on_all_sl2_blocks(self, monkeypatch, modulus, rows, cols, classes, blocks):
+        # With a wild filter that accepts every block, the DFS and the oracle
+        # both return the torus classes of all wrapped SL2 blocks: a non-empty
+        # set, where the fully-wild sets at these moduli are empty.
+        monkeypatch.setattr(sl2tilings.search, "block_is_fully_wild", lambda block, n: True)
+        dfs = search_fully_wild(SearchConfig(modulus, rows, cols))
+
+        def forbidden(*args):
+            raise AssertionError("the oracle must not solve congruences")
+
+        monkeypatch.setattr(sl2tilings.search, "propagate_cell", forbidden)
+        monkeypatch.setattr(sl2tilings.search, "solve_linear_congruence", forbidden)
+        oracle = brute_force_oracle(modulus, rows, cols, allow_large=True)
+        assert dfs.solutions == oracle.solutions
+        assert len(oracle.solutions) == classes
+        assert sum(map(_torus_orbit_size, oracle.solutions)) == blocks
+        assert all(block_is_sl2(block, modulus) for block in oracle.solutions)
+        assert oracle.stats.nodes == modulus ** (rows * cols)
+
+
+def _torus_orbit_size(block):
+    h, w = len(block), len(block[0])
+    return len({
+        tuple(tuple(block[(i + di) % h][(j + dj) % w] for j in range(w)) for i in range(h))
+        for di in range(h)
+        for dj in range(w)
+    })
