@@ -198,18 +198,16 @@ def search_fully_wild(config: SearchConfig) -> SearchResult:
     )
     # More workers than first-cell values would only get empty groups.
     workers = min(config.worker_count, len(domain))
+    budget = config.node_budget
+    per_worker = None if budget is None else -(-budget // workers)
+    parts = [
+        (config.modulus, config.rows, config.cols, domain[k::workers], domain, per_worker)
+        for k in range(workers)
+    ]
     if workers == 1:
-        parts = [(config.modulus, config.rows, config.cols, domain, domain, config.node_budget)]
         outcomes = [_search_partition(parts[0])]
     else:
-        groups = [domain[k::workers] for k in range(workers)]
-        budget = config.node_budget
-        per_worker = None if budget is None else -(-budget // len(groups))
-        parts = [
-            (config.modulus, config.rows, config.cols, g, domain, per_worker)
-            for g in groups
-        ]
-        with ProcessPoolExecutor(max_workers=min(len(groups), os.cpu_count() or 1)) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
             outcomes = list(pool.map(_search_partition, parts))
     merged: set[Block] = set()
     nodes = 0

@@ -18,9 +18,10 @@ classification.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import Callable, Iterator, Mapping, Sequence, Union
 
 from .errors import StructuralError, UnsupportedOperationError, ValidationError
@@ -92,63 +93,77 @@ ParameterAssignment = Union[FormalParameters, NumericParameters]
 # box 0 is [0, m+2)^2 and box t extends it by m cells on every side.  Within
 # box 0, and within each further shell, lattice positions are numbered
 # row-major.  Box 0 matches an (m+2) x (m+2) display window, so the numbering
-# printed for such a window is 1, 2, 3, ... reading across rows.
-_lattice_scan_cache: dict[SublatticeSpec, tuple[list[tuple[int, int]], dict[tuple[int, int], int], int]] = {}
+# printed for such a window is 1, 2, 3, ... reading across rows.  Numbers are
+# counted row by row in closed form, so no cell is visited and nothing is kept.
+
+
+def _count_congruent(lo: int, hi: int, a: int, q: int) -> int:
+    """|{j in [lo, hi] : j = a (mod q)}|."""
+    if hi < lo:
+        return 0
+    return (hi - a) // q - (lo - 1 - a) // q
+
+
+def _lattice_row_count(lattice: SublatticeSpec, c: int, i: int, lo: int, hi: int) -> int:
+    """|{j in [lo, hi) : u*i + v*j = c (mod m)}|."""
+    g = gcd(lattice.v, lattice.m)
+    rhs = c - lattice.u * i
+    if rhs % g:
+        return 0
+    q = lattice.m // g
+    return _count_congruent(lo, hi - 1, rhs // g * pow(lattice.v // g, -1, q), q)
 
 
 def _box_bounds(lattice: SublatticeSpec, t: int) -> tuple[int, int]:
     return -lattice.m * t, lattice.m + 2 + lattice.m * t
 
 
-def _scan_state(lattice: SublatticeSpec):
-    state = _lattice_scan_cache.get(lattice)
-    if state is None:
-        state = ([], {}, -1)
-        _lattice_scan_cache[lattice] = state
-    return state
+def _box_prefix(lattice: SublatticeSpec, t: int, i: int, j: int) -> int:
+    """Lattice positions of box t before (i, j) in row-major order."""
+    if t < 0:
+        return 0
+    lo, hi = _box_bounds(lattice, t)
+    rows = range(lo, min(i, hi))
+    # Rows r and r + m meet the lattice alike: count one row of each class.
+    count = sum(
+        len(rows[k :: lattice.m]) * _lattice_row_count(lattice, lattice.t, lo + k, lo, hi)
+        for k in range(min(lattice.m, len(rows)))
+    )
+    if lo <= i < hi:
+        count += _lattice_row_count(lattice, lattice.t, i, lo, min(j, hi))
+    return count
 
 
-def _grow_scan(lattice: SublatticeSpec, upto: int) -> None:
-    positions, index_of, done = _scan_state(lattice)
-    for t in range(done + 1, upto + 1):
-        lo, hi = _box_bounds(lattice, t)
-        prev_lo, prev_hi = _box_bounds(lattice, t - 1)
-        for i in range(lo, hi):
-            inner_row = t > 0 and prev_lo <= i < prev_hi
-            for j in range(lo, hi):
-                if inner_row and prev_lo <= j < prev_hi:
-                    continue
-                if lattice.contains(i, j):
-                    positions.append((i, j))
-                    index_of[(i, j)] = len(positions)
-    _lattice_scan_cache[lattice] = (positions, index_of, max(done, upto))
+def _box_count(lattice: SublatticeSpec, t: int) -> int:
+    return _box_prefix(lattice, t, _box_bounds(lattice, t)[1], 0)
+
+
+def _shell_prefix(lattice: SublatticeSpec, t: int, i: int, j: int) -> int:
+    """Lattice positions of shell t (box t less box t - 1) before (i, j)."""
+    return _box_prefix(lattice, t, i, j) - _box_prefix(lattice, t - 1, i, j)
 
 
 def parameter_index(lattice: SublatticeSpec, i: int, j: int) -> int:
     """1-based parameter number of a lattice position under the box scan."""
     if not lattice.contains(i, j):
         raise StructuralError(f"({i}, {j}) is not on the sublattice")
-    t = 0
-    while True:
-        lo, hi = _box_bounds(lattice, t)
-        if lo <= i < hi and lo <= j < hi:
-            break
-        t += 1
-    _grow_scan(lattice, t)
-    return _lattice_scan_cache[lattice][1][(i, j)]
+    t = max(0, -(min(i, j) // lattice.m), (max(i, j) - 2) // lattice.m)
+    return _box_count(lattice, t - 1) + _shell_prefix(lattice, t, i, j) + 1
 
 
 def parameter_position(lattice: SublatticeSpec, index: int) -> tuple[int, int]:
     """Inverse of parameter_index."""
     if index < 1:
         raise ValidationError(f"parameter index must be positive, got {index}")
-    t = 0
-    while True:
-        _grow_scan(lattice, t)
-        positions = _lattice_scan_cache[lattice][0]
-        if len(positions) >= index:
-            return positions[index - 1]
-        t += 1
+    if lattice.t % gcd(lattice.u, lattice.v, lattice.m):
+        raise StructuralError(f"{lattice} has no positions")
+    # Box s holds (2s + 1)^2 disjoint m x m squares, each with a position: t <= isqrt(index).
+    t = bisect_left(range(isqrt(index) + 1), index, key=lambda s: _box_count(lattice, s))
+    rank = index - _box_count(lattice, t - 1)
+    cells = range(*_box_bounds(lattice, t))
+    i = cells[bisect_left(cells, rank, key=lambda r: _shell_prefix(lattice, t, r + 1, cells[0]))]
+    j = cells[bisect_left(cells, rank, key=lambda c: _shell_prefix(lattice, t, i, c + 1))]
+    return i, j
 
 
 @dataclass(frozen=True)
@@ -424,9 +439,9 @@ class DensitySample:
         return Fraction(self.wild, self.total) if self.total else Fraction(0)
 
 
-def _patched_class_structure(t: Patched) -> tuple[int, set[int]] | None:
-    """(v inverse mod m, wild class set) when wildness only depends on the
-    lattice class u*i + v*j mod m, else None.
+def _patched_class_structure(t: Patched) -> set[int] | None:
+    """The set of wild classes when wildness only depends on the lattice
+    class u*i + v*j mod m, else None.
 
     Sufficient conditions: row 0 meets every class (gcd(v, m) = 1) and every
     class-preserving translation shifts j - i by an even amount, so cells of
@@ -434,9 +449,7 @@ def _patched_class_structure(t: Patched) -> tuple[int, set[int]] | None:
     wildness.
     """
     u, v, m = t.lattice.u, t.lattice.v, t.lattice.m
-    try:
-        vinv = pow(v, -1, m)
-    except ValueError:
+    if gcd(v, m) != 1:
         return None
     for x in range(2 * m):
         for y in range(2 * m):
@@ -446,7 +459,7 @@ def _patched_class_structure(t: Patched) -> tuple[int, set[int]] | None:
     for k in range(m):
         if classify_entry(t, 0, k)[0]:
             wild_classes.add((v * k) % m)
-    return vinv, wild_classes
+    return wild_classes
 
 
 def wild_density_exact(t: TilingModel) -> Fraction:
@@ -459,19 +472,12 @@ def wild_density_exact(t: TilingModel) -> Fraction:
             1 for i in range(t.h) for j in range(t.w) if classify_entry(t, i, j)[0]
         )
         return Fraction(wild, t.h * t.w)
-    structure = _patched_class_structure(t)
-    if structure is None:
+    wild_classes = _patched_class_structure(t)
+    if wild_classes is None:
         raise UnsupportedOperationError(
             "no invariance lattice detected for this patched model"
         )
-    return Fraction(len(structure[1]), t.lattice.m)
-
-
-def _count_congruent(lo: int, hi: int, a: int, q: int) -> int:
-    """|{j in [lo, hi] : j = a (mod q)}|."""
-    if hi < lo:
-        return 0
-    return (hi - a) // q - (lo - 1 - a) // q
+    return Fraction(len(wild_classes), t.lattice.m)
 
 
 def wild_density_windows(t: TilingModel, radii: Sequence[int]) -> tuple[DensitySample, ...]:
@@ -511,15 +517,11 @@ def _row_wild_counter(t: TilingModel):
             return sum(_count_congruent(lo, hi, bj, w) for bj in wild_cols[i % h])
 
         return count_block
-    structure = _patched_class_structure(t)
-    if structure is not None:
-        vinv, wild_classes = structure
-        u, v, m = t.lattice.u, t.lattice.v, t.lattice.m
+    wild_classes = _patched_class_structure(t)
+    if wild_classes is not None:
 
         def count_lattice(i: int, lo: int, hi: int) -> int:
-            return sum(
-                _count_congruent(lo, hi, (vinv * (c - u * i)) % m, m) for c in wild_classes
-            )
+            return sum(_lattice_row_count(t.lattice, c, i, lo, hi + 1) for c in wild_classes)
 
         return count_lattice
 

@@ -69,6 +69,14 @@ class TestGenerate:
         text = path.read_text()
         assert "params: default=3,0:6=5,1:3=-2" in text
 
+    def test_wildest_params_far_index(self, tmp_path, capsys):
+        path = tmp_path / "w.grid"
+        code, _, _ = run_cli(
+            "generate", "wildest", "--params", "1000000000=5,default=2",
+            "--out", str(path), capsys=capsys)
+        assert code == 0
+        assert "params: default=2,-20000:50006=5" in path.read_text()
+
     def test_formal_and_params_conflict(self, capsys):
         code, _, err = run_cli(
             "generate", "wildest", "--formal", "--params", "1=2", capsys=capsys)
@@ -284,6 +292,16 @@ class TestRender:
             "--window", "0", "0", "10", "10", capsys=capsys)
         assert code == 0
         assert out_path.read_text().count('fill="#000000"') == 40
+
+    def test_far_formal_window_labels(self, files, capsys):
+        out_path = files["dir"] / "far.svg"
+        code, _, _ = run_cli(
+            "render", files["formal"], "--out", str(out_path),
+            "--window", "100000", "0", "4", "4", "--labels", capsys=capsys)
+        assert code == 0
+        svg = out_path.read_text()
+        assert ">a3999670007</text>" in svg
+        assert ">a4000290003</text>" in svg
 
 
 class TestTopLevel:

@@ -152,6 +152,12 @@ class TestSearch:
         ]
         assert len({(r.solutions, r.stats.nodes, r.stats.budget_exhausted) for r in budgeted}) == 1
 
+    def test_per_worker_budget_rounds_up(self):
+        # 7 nodes over 3 workers: each gets ceil(7 / 3) = 3 and spends them all.
+        capped = search_fully_wild(SearchConfig(6, 2, 2, node_budget=7, worker_count=3))
+        assert capped.stats.budget_exhausted
+        assert capped.stats.nodes == 9
+
     def test_node_counting_monotone(self):
         plain = search_fully_wild(SearchConfig(6, 2, 2))
         pruned = search_fully_wild(SearchConfig(6, 2, 2, prune_nonunits=True))

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -78,6 +79,60 @@ class TestParameterNumbering:
     def test_off_lattice_rejected(self):
         with pytest.raises(StructuralError):
             parameter_index(WILDEST_LATTICE, 0, 0)
+
+
+def scanned_positions(lattice, reach, count):
+    """Lattice positions in numbering order, found by visiting cells: box 0 is
+    [0, m+2)^2, box t adds m cells on every side, and each new shell is read
+    row-major.  Stops once a box covers [-reach, reach]^2 and holds `count`
+    positions."""
+    m = lattice.m
+    positions = []
+    for t in itertools.count():
+        lo, hi = -m * t, m + 2 + m * t
+        for i in range(lo, hi):
+            for j in range(lo, hi):
+                inner = t > 0 and lo + m <= min(i, j) and max(i, j) < hi - m
+                if not inner and lattice.contains(i, j):
+                    positions.append((i, j))
+        if lo <= -reach and reach < hi and len(positions) >= count:
+            return positions
+
+
+class TestParameterCounting:
+    @pytest.mark.parametrize("spec", [
+        (3, 1, 10, 6), (2, 4, 6, 2), (0, 2, 4, 2), (5, 0, 5, 0),
+        (1, 0, 4, 3), (7, 3, 12, 5), (0, 0, 1, 0),
+    ])
+    def test_matches_box_scan(self, spec):
+        lat = SublatticeSpec(*spec)
+        scanned = scanned_positions(lat, 60, 3000)
+        number = {pos: k for k, pos in enumerate(scanned, 1)}
+        near = [(i, j) for i in range(-60, 61) for j in range(-60, 61) if lat.contains(i, j)]
+        indices = [parameter_index(lat, i, j) for i, j in near]
+        assert indices == [number[pos] for pos in near]
+        positions = [parameter_position(lat, k) for k in range(1, 3001)]
+        assert positions == scanned[:3000]
+        assert [parameter_index(lat, i, j) for i, j in positions] == list(range(1, 3001))
+        # and position(index(p)) == p on a sample of the near positions
+        rng = random.Random(31)
+        for pos, k in rng.sample(list(zip(near, indices)), 100):
+            assert parameter_position(lat, k) == pos
+
+    def test_far_wildest_positions(self):
+        lat = WILDEST_LATTICE
+        assert parameter_index(lat, 100001, 3) == 3_999_670_007
+        assert parameter_position(lat, 3_999_670_007) == (100001, 3)
+        assert parameter_position(lat, 10**9) == (-20000, 50006)
+        assert parameter_index(lat, -20000, 50006) == 10**9
+
+    def test_empty_lattice(self):
+        # gcd(u, v, m) = 2 divides neither t = 1 nor t = 3: no cell is on them
+        for lat in (SublatticeSpec(0, 0, 2, 1), SublatticeSpec(2, 4, 6, 3)):
+            with pytest.raises(StructuralError):
+                parameter_position(lat, 1)
+            with pytest.raises(StructuralError):
+                parameter_index(lat, 0, 0)
 
 
 class TestModels:
