@@ -25,6 +25,7 @@ from .tiling import Patched, TilingModel, Window, extract_window
 
 MAX_CLASS_DIM = 12
 MAX_SYMBOLIC_DIM = 9
+_PROBE_TRIALS = 5
 
 _ZERO = "0"
 _PLUS = "+"
@@ -168,11 +169,11 @@ def _symbolic_deficiency(win: Window) -> int:
     return win.rows - bareiss_rank(win.matrix)
 
 
-def _probe_deficiency(win: Window, seed: int, trials: int) -> int:
+def _probe_deficiency(win: Window, seed: int) -> int:
     variables = sorted({v for r in range(win.rows) for c in range(win.cols)
                         for v in win.at(r, c).variables()})
     best = win.rows
-    for trial in range(trials):
+    for trial in range(_PROBE_TRIALS):
         rng = random.Random(f"{seed}:{trial}")
         values = rng.sample(range(2, 1 << 16), len(variables))
         assignment = {f"a{k}": x for k, x in zip(variables, values)}
@@ -191,7 +192,6 @@ def rank_deficiency_report(
     n: int,
     mode: str = "symbolic",
     seed: int = 0,
-    trials: int = 5,
     allow_large: bool = False,
 ) -> RankReport:
     """Rank deficiencies (n - rank) of the class representatives.
@@ -199,7 +199,7 @@ def rank_deficiency_report(
     Symbolic mode eliminates over the polynomial ring and is exact; it is
     guarded at n <= 9 unless ``allow_large`` is set.  Probe mode evaluates
     the parameters at distinct random integers in [2, 2^16) and reports the
-    best deficiency over ``trials`` independent assignments; evaluation can
+    best deficiency over ``_PROBE_TRIALS`` independent assignments; evaluation can
     only lower rank, so the result is an upper bound on the symbolic
     deficiency.
     """
@@ -217,6 +217,6 @@ def rank_deficiency_report(
             entries.append(RankEntry(cls, _symbolic_deficiency(cls.representative), "symbolic"))
         if mode in ("probe", "both"):
             entries.append(
-                RankEntry(cls, _probe_deficiency(cls.representative, seed, trials), "evaluation-bound")
+                RankEntry(cls, _probe_deficiency(cls.representative, seed), "evaluation-bound")
             )
     return RankReport(n, tuple(entries))

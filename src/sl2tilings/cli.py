@@ -470,10 +470,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except GridParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValidationError, UnsupportedOperationError, StructuralError) as exc:
+    except (GridParseError, ValidationError, UnsupportedOperationError, StructuralError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except UnverifiedModelError as exc:

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, isqrt, lcm
 from typing import Callable, Iterator, Mapping, Sequence, Union
 
@@ -104,10 +105,10 @@ def _count_congruent(lo: int, hi: int, a: int, q: int) -> int:
     return (hi - a) // q - (lo - 1 - a) // q
 
 
-def _lattice_row_count(lattice: SublatticeSpec, c: int, i: int, lo: int, hi: int) -> int:
-    """|{j in [lo, hi) : u*i + v*j = c (mod m)}|."""
+def _lattice_row_count(lattice: SublatticeSpec, i: int, lo: int, hi: int) -> int:
+    """|{j in [lo, hi) : (i, j) on the lattice}|."""
     g = gcd(lattice.v, lattice.m)
-    rhs = c - lattice.u * i
+    rhs = lattice.t - lattice.u * i
     if rhs % g:
         return 0
     q = lattice.m // g
@@ -118,29 +119,37 @@ def _box_bounds(lattice: SublatticeSpec, t: int) -> tuple[int, int]:
     return -lattice.m * t, lattice.m + 2 + lattice.m * t
 
 
-def _box_prefix(lattice: SublatticeSpec, t: int, i: int, j: int) -> int:
-    """Lattice positions of box t before (i, j) in row-major order."""
+def _box_prefix(lattice: SublatticeSpec, t: int) -> Callable[[int, int], int]:
+    """f(i, j) = lattice positions of box t before (i, j) in row-major order.
+
+    Rows r and r + m meet the lattice alike, so box t's m row classes are
+    counted once here, and f costs O(1) a call.
+    """
     if t < 0:
-        return 0
+        return lambda i, j: 0
+    m = lattice.m
     lo, hi = _box_bounds(lattice, t)
-    rows = range(lo, min(i, hi))
-    # Rows r and r + m meet the lattice alike: count one row of each class.
-    count = sum(
-        len(rows[k :: lattice.m]) * _lattice_row_count(lattice, lattice.t, lo + k, lo, hi)
-        for k in range(min(lattice.m, len(rows)))
-    )
-    if lo <= i < hi:
-        count += _lattice_row_count(lattice, lattice.t, i, lo, min(j, hi))
-    return count
+    counts = (_lattice_row_count(lattice, lo + k, lo, hi) for k in range(m))
+    sums = list(accumulate(counts, initial=0))
+
+    def prefix(i: int, j: int) -> int:
+        rows = min(max(i, lo), hi) - lo
+        partial = _lattice_row_count(lattice, i, lo, min(j, hi)) if lo <= i < hi else 0
+        return rows // m * sums[m] + sums[rows % m] + partial
+
+    return prefix
 
 
 def _box_count(lattice: SublatticeSpec, t: int) -> int:
-    return _box_prefix(lattice, t, _box_bounds(lattice, t)[1], 0)
+    return _box_prefix(lattice, t)(_box_bounds(lattice, t)[1], 0)
 
 
-def _shell_prefix(lattice: SublatticeSpec, t: int, i: int, j: int) -> int:
-    """Lattice positions of shell t (box t less box t - 1) before (i, j)."""
-    return _box_prefix(lattice, t, i, j) - _box_prefix(lattice, t - 1, i, j)
+def _numbered_before(lattice: SublatticeSpec, t: int) -> Callable[[int, int], int]:
+    """f(i, j) = parameter numbers taken before (i, j), for (i, j) in shell t
+    (box t less box t - 1)."""
+    inner, outer = _box_prefix(lattice, t - 1), _box_prefix(lattice, t)
+    before = inner(_box_bounds(lattice, t - 1)[1], 0)
+    return lambda i, j: before + outer(i, j) - inner(i, j)
 
 
 def parameter_index(lattice: SublatticeSpec, i: int, j: int) -> int:
@@ -148,7 +157,7 @@ def parameter_index(lattice: SublatticeSpec, i: int, j: int) -> int:
     if not lattice.contains(i, j):
         raise StructuralError(f"({i}, {j}) is not on the sublattice")
     t = max(0, -(min(i, j) // lattice.m), (max(i, j) - 2) // lattice.m)
-    return _box_count(lattice, t - 1) + _shell_prefix(lattice, t, i, j) + 1
+    return _numbered_before(lattice, t)(i, j) + 1
 
 
 def parameter_position(lattice: SublatticeSpec, index: int) -> tuple[int, int]:
@@ -159,10 +168,10 @@ def parameter_position(lattice: SublatticeSpec, index: int) -> tuple[int, int]:
         raise StructuralError(f"{lattice} has no positions")
     # Box s holds (2s + 1)^2 disjoint m x m squares, each with a position: t <= isqrt(index).
     t = bisect_left(range(isqrt(index) + 1), index, key=lambda s: _box_count(lattice, s))
-    rank = index - _box_count(lattice, t - 1)
+    before = _numbered_before(lattice, t)
     cells = range(*_box_bounds(lattice, t))
-    i = cells[bisect_left(cells, rank, key=lambda r: _shell_prefix(lattice, t, r + 1, cells[0]))]
-    j = cells[bisect_left(cells, rank, key=lambda c: _shell_prefix(lattice, t, i, c + 1))]
+    i = cells[bisect_left(cells, index, key=lambda r: before(r + 1, cells[0]))]
+    j = cells[bisect_left(cells, index, key=lambda c: before(i, c + 1))]
     return i, j
 
 
@@ -439,96 +448,85 @@ class DensitySample:
         return Fraction(self.wild, self.total) if self.total else Fraction(0)
 
 
-def _patched_class_structure(t: Patched) -> set[int] | None:
-    """The set of wild classes when wildness only depends on the lattice
-    class u*i + v*j mod m, else None.
+def _wild_torus(t: TilingModel) -> tuple[tuple[tuple[bool, ...], ...], int] | None:
+    """(rows, s) with wild(i, j) = rows[i mod p][(j + s*i) mod q], p x q the
+    shape of ``rows``, or None when no such torus is known.
 
-    Sufficient conditions: row 0 meets every class (gcd(v, m) = 1) and every
-    class-preserving translation shifts j - i by an even amount, so cells of
-    one class differ by a background sign flip at most, which preserves
-    wildness.
+    A patched model's wildness is a function of the class u*i + v*j mod m
+    when row 0 meets every class (gcd(v, m) = 1) and each class-preserving
+    translation shifts j - i by an even amount, a background sign flip at
+    most.  Those translations are spanned by (0, m) and (1, -s), s = u/v mod
+    m, so the latter holds when m is even and s odd.  The mask leaves out
+    explicit numeric values: they can cancel in a det3, the default cannot.
     """
-    u, v, m = t.lattice.u, t.lattice.v, t.lattice.m
-    if gcd(v, m) != 1:
-        return None
-    for x in range(2 * m):
-        for y in range(2 * m):
-            if (u * x + v * y) % m == 0 and (x + y) % 2 == 1:
-                return None
-    wild_classes = set()
-    for k in range(m):
-        if classify_entry(t, 0, k)[0]:
-            wild_classes.add((v * k) % m)
-    return wild_classes
+    if isinstance(t, RuleBased):
+        p, q, s = 1, 4, -1
+    elif isinstance(t, PeriodicBlock):
+        p, q, s = t.h, t.w, 0
+    else:
+        u, v, q = t.lattice.u, t.lattice.v, t.lattice.m
+        if gcd(v, q) != 1:
+            return None
+        p, s = 1, u * pow(v, -1, q)
+        if q % 2 or s % 2 == 0:
+            return None
+        if not t.is_formal():
+            t = replace(t, parameters=NumericParameters((), t.parameters.default))
+    return wildness_report(t, 0, 0, p, q).wild, s
 
 
 def wild_density_exact(t: TilingModel) -> Fraction:
     """Wild cells per fundamental domain of a pattern-invariance lattice."""
-    if isinstance(t, RuleBased):
-        wild = sum(1 for d in range(4) if classify_entry(t, 0, d)[0])
-        return Fraction(wild, 4)
-    if isinstance(t, PeriodicBlock):
-        wild = sum(
-            1 for i in range(t.h) for j in range(t.w) if classify_entry(t, i, j)[0]
-        )
-        return Fraction(wild, t.h * t.w)
-    wild_classes = _patched_class_structure(t)
-    if wild_classes is None:
-        raise UnsupportedOperationError(
-            "no invariance lattice detected for this patched model"
-        )
-    return Fraction(len(wild_classes), t.lattice.m)
+    torus = _wild_torus(t)
+    if torus is None:
+        raise UnsupportedOperationError("no invariance lattice detected for this patched model")
+    rows, _ = torus
+    return Fraction(sum(map(sum, rows)), len(rows) * len(rows[0]))
+
+
+# Disc rows with a wild torus, bounding-square cells without one.
+_DENSITY_BUDGET = 5_000_000
 
 
 def wild_density_windows(t: TilingModel, radii: Sequence[int]) -> tuple[DensitySample, ...]:
     """Wild-cell counts over discs i^2 + j^2 <= r^2 centered at the origin."""
-    counters = _row_wild_counter(t)
-    samples = []
     for r in radii:
         if r < 0:
             raise ValidationError(f"radius must be nonnegative, got {r}")
-        wild = 0
+    torus = _wild_torus(t)
+    if torus is None:
+        unit, cost = "cells", sum((2 * r + 1) ** 2 for r in radii)
+    else:
+        unit, cost = "rows", sum(2 * r + 1 for r in radii)
+        rows, s = torus
+        p, q = len(rows), len(rows[0])
+        residues = [[k for k, wild in enumerate(row) if wild] for row in rows]
+    if cost > _DENSITY_BUDGET:
+        raise UnsupportedOperationError(
+            f"density would scan {cost} disc {unit}, over the bound of {_DENSITY_BUDGET}"
+        )
+    # The torus leaves out explicit numeric values: recount the cells they reach.
+    fixes = {}
+    explicit = torus is not None and isinstance(t, Patched) and not t.is_formal()
+    for (pi, pj), _ in t.parameters.values if explicit else ():
+        for i in range(pi - 1, pi + 2):
+            for j, wild in enumerate(wildness_report(t, i, pj - 1, 1, 3).wild[0], pj - 1):
+                fixes[i, j] = wild - rows[i % p][(j + s * i) % q]
+    samples = []
+    for r in radii:
+        wild = sum(d for (i, j), d in fixes.items() if i * i + j * j <= r * r)
         total = 0
         for i in range(-r, r + 1):
             half = isqrt(r * r - i * i)
-            lo, hi = -half, half
-            total += hi - lo + 1
-            wild += counters(i, lo, hi)
+            total += 2 * half + 1
+            if torus is None:
+                wild += wildness_report(t, i, -half, 1, 2 * half + 1).wild_count
+            else:
+                wild += sum(
+                    _count_congruent(-half, half, (k - s * i) % q, q) for k in residues[i % p]
+                )
         samples.append(DensitySample(r, wild, total))
     return tuple(samples)
-
-
-def _row_wild_counter(t: TilingModel):
-    """Returns f(i, lo, hi) = number of wild cells in row i, columns [lo, hi]."""
-    if isinstance(t, RuleBased):
-        wild_d = [d for d in range(4) if classify_entry(t, 0, d)[0]]
-
-        def count_rule(i: int, lo: int, hi: int) -> int:
-            return sum(_count_congruent(lo, hi, (d + i) % 4, 4) for d in wild_d)
-
-        return count_rule
-    if isinstance(t, PeriodicBlock):
-        h, w = t.h, t.w
-        wild_cols = {
-            bi: [bj for bj in range(w) if classify_entry(t, bi, bj)[0]] for bi in range(h)
-        }
-
-        def count_block(i: int, lo: int, hi: int) -> int:
-            return sum(_count_congruent(lo, hi, bj, w) for bj in wild_cols[i % h])
-
-        return count_block
-    wild_classes = _patched_class_structure(t)
-    if wild_classes is not None:
-
-        def count_lattice(i: int, lo: int, hi: int) -> int:
-            return sum(_lattice_row_count(t.lattice, c, i, lo, hi + 1) for c in wild_classes)
-
-        return count_lattice
-
-    def count_direct(i: int, lo: int, hi: int) -> int:
-        return sum(1 for j in range(lo, hi + 1) if classify_entry(t, i, j)[0])
-
-    return count_direct
 
 
 @dataclass(frozen=True)

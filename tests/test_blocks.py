@@ -155,7 +155,7 @@ class TestRankDeficiency:
         assert [e.deficiency for e in a.entries] == [e.deficiency for e in b.entries]
 
     def test_probe_large_block(self, wildest_formal):
-        report = rank_deficiency_report(wildest_formal, 20, mode="probe", seed=0, trials=5)
+        report = rank_deficiency_report(wildest_formal, 20, mode="probe", seed=0)
         assert report.entries
         assert all(e.deficiency <= 2 for e in report.entries)
 

@@ -145,11 +145,12 @@ class TestDensity:
         assert payload["density"] == {"exact_num": 2, "exact_den": 5}
 
     def test_radii(self, files, capsys):
-        code, out, _ = run_cli("density", files["wildest"], "--radii", "5,12", capsys=capsys)
+        # 50 and 500 are the README's radii, 700 the benchmark's largest.
+        radii = ["5", "12", "50", "500", "700"]
+        code, out, _ = run_cli(
+            "density", files["wildest"], "--radii", ",".join(radii), capsys=capsys)
         assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0].startswith("r=5 ")
-        assert lines[1].startswith("r=12 ")
+        assert [line.split()[0] for line in out.splitlines()] == [f"r={r}" for r in radii]
 
     def test_radii_json(self, files, capsys):
         code, out, _ = run_cli(
@@ -158,6 +159,25 @@ class TestDensity:
         samples = payload["density"]["samples"]
         assert samples[0]["radius"] == 4
         assert samples[0]["wild"] == 0
+
+    def test_radii_bound(self, files, tmp_path):
+        # The cost is bounded before any work: disc rows on a wild torus,
+        # bounding-square cells without one.  Each refusal runs in a capped
+        # subprocess, so a missing guard fails instead of hanging.
+        no_torus = tmp_path / "no_torus.grid"
+        no_torus.write_text("sl2tiling v1\nring: Z[a]\nkind: patched\nrows: 1\ncols: 4\n"
+                            "lattice: 2 2 4 0\nparams: formal\n\n0 1 0 -1\n")
+        bound = b", over the bound of 5000000"
+        cases = [
+            (files["wildest"], "1,1000000000", b"density would scan 2000000004 disc rows" + bound),
+            (str(no_torus), "1200", b"density would scan 5764801 disc cells" + bound),
+            (files["wildest"], "1000000000,-1", b"radius must be nonnegative, got -1"),
+        ]
+        for path, radii, message in cases:
+            proc = _python(tmp_path, "-m", "sl2tilings", "density", path, "--radii", radii,
+                           timeout=60, preexec_fn=_cap_memory)
+            assert (proc.returncode, proc.stdout) == (2, b"")
+            assert proc.stderr == b"error: " + message + b"\n"
 
 
 class TestClassesAndRank:
@@ -376,7 +396,7 @@ def _entry_point_wrapper(entry):
     return f"import sys; from {module} import {attr}; sys.exit({attr}())"
 
 
-def _python(cwd, *args):
+def _python(cwd, *args, **kwargs):
     """Run a fresh interpreter in `cwd` that imports this very sl2tilings.
 
     A relative PYTHONPATH (such as `src`) would not resolve from `cwd`, so the
@@ -385,4 +405,10 @@ def _python(cwd, *args):
     env = dict(os.environ)
     package_root = str(Path(sl2tilings.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], capture_output=True, cwd=cwd, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, cwd=cwd, env=env, **kwargs)
+
+
+def _cap_memory():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))

@@ -210,9 +210,9 @@ class TestCongruence:
         assert list(solve_linear_congruence(2, 2, 4).values()) == [1, 3]
         assert list(solve_linear_congruence(3, 1, 7).values()) == [5]
         assert list(solve_linear_congruence(6, 3, 9).values()) == [2, 5, 8]
-        assert solve_linear_congruence(4, 2, 8).is_empty
+        assert solve_linear_congruence(4, 2, 8).is_empty()
         assert list(solve_linear_congruence(0, 0, 5).values()) == [0, 1, 2, 3, 4]
-        assert solve_linear_congruence(0, 3, 5).is_empty
+        assert solve_linear_congruence(0, 3, 5).is_empty()
 
     def test_count_is_gcd_when_solvable(self):
         import math
@@ -224,7 +224,7 @@ class TestCongruence:
         assert 1 in sols and 3 in sols and 0 not in sols
 
     def test_empty_constructor(self):
-        assert CongruenceSolutions.empty(7).is_empty
+        assert CongruenceSolutions.empty(7).is_empty()
         assert list(CongruenceSolutions.empty(7).values()) == []
 
     @given(st.integers(2, 40), st.integers(-80, 80), st.integers(-80, 80))

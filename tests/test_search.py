@@ -33,7 +33,7 @@ class TestPropagate:
         assert list(propagate_cell(2, 1, 1, 4).values()) == [1, 3]
 
     def test_empty(self):
-        assert propagate_cell(2, 1, 2, 4).is_empty
+        assert propagate_cell(2, 1, 2, 4).is_empty()
 
     def test_agrees_with_brute_force(self):
         for n in (4, 6, 9):

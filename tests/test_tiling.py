@@ -1,9 +1,11 @@
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from sl2tilings import matrices
 from sl2tilings import (
     INTEGERS,
     POLYNOMIALS,
@@ -42,6 +44,23 @@ from sl2tilings import (
 
 def int_window(rows, origin=(0, 0)):
     return Window(Matrix.from_ints(INTEGERS, rows), origin)
+
+
+def patched_model(spec, formal):
+    """The wildest background (0, 1, 0, -1) patched along lattice ``spec``."""
+    ring = POLYNOMIALS if formal else INTEGERS
+    base = RuleBased(ring, tuple(ring.value(v) for v in (0, 1, 0, -1)))
+    lat = SublatticeSpec(*spec)
+    if formal:
+        return Patched(ring, base, lat, FormalParameters())
+    near = [(i, j) for i in range(-3, 4) for j in range(-3, 4) if lat.contains(i, j)]
+    return Patched(ring, base, lat, NumericParameters.from_mapping(
+        {pos: v for pos, v in zip(near, (3, -1, 7, 2))}, -2))
+
+
+def no_torus_model():
+    # gcd(v, m) = 2: row 0 misses half the classes, so no wild torus is known.
+    return patched_model((2, 2, 4, 0), formal=True)
 
 
 class TestSublattice:
@@ -367,8 +386,13 @@ class TestDensity:
     def test_exact_formal(self, wildest_formal):
         assert wild_density_exact(wildest_formal) == Fraction(2, 5)
 
-    def test_window_samples_match_direct_count(self, wildest, z36, unit):
-        for t in (wildest, z36, unit):
+    def test_window_samples_match_direct_count(self, wildest, wildest_formal, z36, unit):
+        explicit = wildest_integer_tiling(NumericParameters.from_mapping(
+            {parameter_position(WILDEST_LATTICE, k): v for k, v in ((1, 5), (3, -2), (7, 4))}, 2))
+        models = [wildest, wildest_formal, explicit, z36, unit, no_torus_model()]
+        for spec in ((1, 3, 8, 0), (5, 1, 12, 0), (3, 5, 16, 2)):
+            models += [patched_model(spec, formal=True), patched_model(spec, formal=False)]
+        for t in models:
             for r in (5, 9):
                 sample = wild_density_windows(t, [r])[0]
                 wild = total = 0
@@ -379,6 +403,30 @@ class TestDensity:
                             if classify_entry(t, i, j)[0]:
                                 wild += 1
                 assert (sample.wild, sample.total) == (wild, total)
+
+    def test_explicit_values_cancel_off_the_torus(self):
+        # (0, 4) is a zero between the parameters at (-1, 3) and (1, 5): with
+        # values 5 and -5 its det3 cancels, though its class is wild.
+        base = patched_model((1, 3, 8, 0), formal=False)
+        t = replace(base, parameters=NumericParameters.from_mapping({(-1, 3): 5, (1, 5): -5}, 1))
+        assert verify_sl2(t) is None
+        assert not classify_entry(t, 0, 4)[0]
+        assert wild_density_exact(t) == wild_density_exact(patched_model((1, 3, 8, 0), formal=True))
+        disc = [(i, j) for i in range(-6, 7) for j in range(-6, 7) if i * i + j * j <= 36]
+        assert wild_density_windows(t, [6])[0].wild == sum(classify_entry(t, *c)[0] for c in disc)
+
+    def test_det3_evaluations_per_call(self, catalog, wildest_formal, monkeypatch):
+        calls = []
+        det3 = matrices.det3
+        monkeypatch.setattr(matrices, "det3", lambda rows: calls.append(1) or det3(rows))
+        cases = [(catalog["unit"], 4), (catalog["z36"], 16), (catalog["pqrs"], 16),
+                 (catalog["wildest"], 10), (wildest_formal, 10),
+                 (patched_model((3, 5, 16, 2), formal=True), 16)]
+        for t, cost in cases:
+            for density in (wild_density_exact, lambda t: wild_density_windows(t, [0, 7, 40])):
+                calls.clear()
+                density(t)
+                assert len(calls) == cost
 
     def test_unit_ratio_zero(self, unit):
         for s in wild_density_windows(unit, [3, 10, 25]):
@@ -393,12 +441,8 @@ class TestDensity:
             assert abs(s.ratio - Fraction(2, 5)) <= Fraction(10, s.radius)
 
     def test_no_lattice_detected(self):
-        lat = SublatticeSpec(2, 2, 4, 0)  # gcd(v, m) != 1
-        table = tuple(POLYNOMIALS.value(v) for v in (0, 1, 0, -1))
-        base = RuleBased(POLYNOMIALS, table)
-        t = Patched(POLYNOMIALS, base, lat, FormalParameters())
         with pytest.raises(UnsupportedOperationError):
-            wild_density_exact(t)
+            wild_density_exact(no_torus_model())
 
 
 class TestAudits:
