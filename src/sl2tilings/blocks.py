@@ -26,6 +26,8 @@ from .tiling import Patched, TilingModel, Window, extract_window
 MAX_CLASS_DIM = 12
 MAX_SYMBOLIC_DIM = 9
 _PROBE_TRIALS = 5
+# Probe rank at n = 48 takes a few seconds; it grows about as n^3.
+_MAX_PROBE_DIM = 48
 
 _ZERO = "0"
 _PLUS = "+"
@@ -113,12 +115,6 @@ class BlockClass:
     orbit_size: int
 
 
-def _require_formal_patched(t: TilingModel) -> Patched:
-    if not isinstance(t, Patched) or not t.is_formal():
-        raise StructuralError("block classes are defined for formal patched tilings")
-    return t
-
-
 def enumerate_block_classes(t: TilingModel, n: int) -> tuple[BlockClass, ...]:
     """Classes of all n x n blocks, sorted by encoding.
 
@@ -133,7 +129,8 @@ def enumerate_block_classes(t: TilingModel, n: int) -> tuple[BlockClass, ...]:
 
 
 def _corner_classes(t: TilingModel, n: int) -> tuple[BlockClass, ...]:
-    t = _require_formal_patched(t)
+    if not isinstance(t, Patched) or not t.is_formal():
+        raise StructuralError("block classes are defined for formal patched tilings")
     if n < 1:
         raise ValidationError(f"block size must be positive, got {n}")
     by_encoding: dict[str, tuple[Window, int]] = {}
@@ -197,11 +194,11 @@ def rank_deficiency_report(
     """Rank deficiencies (n - rank) of the class representatives.
 
     Symbolic mode eliminates over the polynomial ring and is exact; it is
-    guarded at n <= 9 unless ``allow_large`` is set.  Probe mode evaluates
-    the parameters at distinct random integers in [2, 2^16) and reports the
-    best deficiency over ``_PROBE_TRIALS`` independent assignments; evaluation can
-    only lower rank, so the result is an upper bound on the symbolic
-    deficiency.
+    guarded at n <= 9 unless ``allow_large`` is set.  Probe mode (n <= 48)
+    evaluates the parameters at distinct random integers in [2, 2^16) and
+    reports the best deficiency over ``_PROBE_TRIALS`` independent
+    assignments; evaluation can only lower rank, so the result is an upper
+    bound on the symbolic deficiency.
     """
     if mode not in ("symbolic", "probe", "both"):
         raise ValidationError(f"unknown rank mode {mode!r}")
@@ -210,6 +207,8 @@ def rank_deficiency_report(
             f"symbolic rank is guarded at n <= {MAX_SYMBOLIC_DIM}; "
             "pass allow_large to override"
         )
+    if mode in ("probe", "both") and n > _MAX_PROBE_DIM:
+        raise UnsupportedOperationError(f"probe rank is guarded at n <= {_MAX_PROBE_DIM}")
     classes = _corner_classes(t, n)
     entries = []
     for cls in classes:

@@ -29,7 +29,7 @@ from .gridio import GridParseError, parse_grid, write_grid
 from .matrices import Matrix
 from .rings import ModularRing
 from .search import SearchConfig, brute_force_oracle, search_fully_wild
-from .svg import RenderOptions, UnverifiedModelError, default_region, render_svg
+from .svg import RenderOptions, UnverifiedModelError, render_svg
 from .tiling import (
     FormalParameters,
     NumericParameters,
@@ -61,6 +61,24 @@ def _describe(obj) -> str:
         )
     i, j = obj.origin
     return f"window {obj.rows}x{obj.cols} at ({i}, {j}) over {obj.matrix.spec}"
+
+
+# verify, audit and render hold every cell of a --window in memory.
+_WINDOW_CELLS = 250_000
+
+
+def _window(args, obj) -> tuple[int, int, int, int] | None:
+    """--window of a model document, refused above the cell bound before any cell is built."""
+    if args.window is None:
+        return None
+    if isinstance(obj, Window):
+        raise ValidationError("--window applies to model documents only")
+    h, w = args.window[2:]
+    if min(h, w) > 0 and h * w > _WINDOW_CELLS:
+        raise UnsupportedOperationError(
+            f"window {h}x{w} has {h * w} cells, over the bound of {_WINDOW_CELLS}"
+        )
+    return tuple(args.window)
 
 
 def _load(path: str):
@@ -141,11 +159,9 @@ def _cmd_generate(args) -> int:
 
 def _cmd_verify(args) -> int:
     obj = _load(args.file)
-    if args.window is not None:
-        if isinstance(obj, Window):
-            raise ValidationError("--window applies to model documents only")
-        i0, j0, h, w = args.window
-        fault = verify_window(extract_window(obj, i0, j0, h, w))
+    window = _window(args, obj)
+    if window is not None:
+        fault = verify_window(extract_window(obj, *window))
     elif isinstance(obj, Window):
         fault = verify_window(obj)
     else:
@@ -286,13 +302,8 @@ def _cmd_audit(args) -> int:
     checks = [name for name in ("dodgson", "corner", "cross") if getattr(args, name)]
     if not checks:
         checks = ["dodgson", "corner"]
-    if isinstance(obj, Window):
-        if args.window is not None:
-            raise ValidationError("--window applies to model documents only")
-        win = obj
-    else:
-        i0, j0, h, w = args.window if args.window is not None else (0, 0, 40, 40)
-        win = extract_window(obj, i0 - 1, j0 - 1, h + 2, w + 2)
+    i0, j0, h, w = _window(args, obj) or (0, 0, 40, 40)
+    win = obj if isinstance(obj, Window) else extract_window(obj, i0 - 1, j0 - 1, h + 2, w + 2)
     runners = {
         "dodgson": dodgson_audit,
         "corner": corner_audit,
@@ -369,7 +380,7 @@ def _cmd_search(args) -> int:
 
 def _cmd_render(args) -> int:
     obj = _load(args.file)
-    region = tuple(args.window) if args.window is not None else None
+    region = None if isinstance(obj, Window) else _window(args, obj)
     svg = render_svg(
         obj,
         region=region,

@@ -34,7 +34,6 @@ from .matrices import Matrix
 from .rings import (
     INTEGERS,
     POLYNOMIALS,
-    IntegerRing,
     ModularRing,
     PolynomialRing,
     RingSpec,

@@ -15,7 +15,6 @@ from .tiling import (
     CellColor,
     Patched,
     PeriodicBlock,
-    RuleBased,
     TilingModel,
     Violation,
     Window,

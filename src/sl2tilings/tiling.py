@@ -21,14 +21,13 @@ import enum
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, count
 from math import gcd, isqrt, lcm
 from typing import Callable, Iterator, Mapping, Sequence, Union
 
 from .errors import StructuralError, UnsupportedOperationError, ValidationError
 from .matrices import Matrix, corner_det3, det2_scan, det3, det3_scan
 from .rings import (
-    INTEGERS,
     POLYNOMIALS,
     IntegerRing,
     ModularRing,
@@ -105,14 +104,17 @@ def _count_congruent(lo: int, hi: int, a: int, q: int) -> int:
     return (hi - a) // q - (lo - 1 - a) // q
 
 
+def _lattice_row(lattice: SublatticeSpec, i: int) -> tuple[int, int] | None:
+    """(a, q) with (i, j) on the lattice iff j = a (mod q), 0 <= a < q, or None."""
+    g = gcd(lattice.v, lattice.m)
+    rhs, q = lattice.t - lattice.u * i, lattice.m // g
+    return None if rhs % g else (rhs // g * pow(lattice.v // g, -1, q) % q, q)
+
+
 def _lattice_row_count(lattice: SublatticeSpec, i: int, lo: int, hi: int) -> int:
     """|{j in [lo, hi) : (i, j) on the lattice}|."""
-    g = gcd(lattice.v, lattice.m)
-    rhs = lattice.t - lattice.u * i
-    if rhs % g:
-        return 0
-    q = lattice.m // g
-    return _count_congruent(lo, hi - 1, rhs // g * pow(lattice.v // g, -1, q), q)
+    row = _lattice_row(lattice, i)
+    return _count_congruent(lo, hi - 1, *row) if row else 0
 
 
 def _box_bounds(lattice: SublatticeSpec, t: int) -> tuple[int, int]:
@@ -243,10 +245,12 @@ class Patched:
                     raise ValidationError(f"parameter position {pos} is off the sublattice")
         if self.base.ring != self.ring:
             raise ValidationError("background ring differs from the model ring")
-        period = lcm(self.lattice.m, 4)
-        for i in range(period):
-            for j in range(period):
-                if self.lattice.contains(i, j) and not self.base.entry(i, j).is_zero():
+        # The background repeats mod 4 in j - i, so the first 4 lattice
+        # columns of a row show every background value the row meets.
+        for i in range(lcm(self.lattice.m, 4)):
+            row = _lattice_row(self.lattice, i)
+            for j in range(row[0], row[0] + 4 * row[1], row[1]) if row else ():
+                if not self.base.entry(i, j).is_zero():
                     raise ValidationError(
                         f"background is nonzero at lattice position ({i}, {j})"
                     )
@@ -448,43 +452,41 @@ class DensitySample:
         return Fraction(self.wild, self.total) if self.total else Fraction(0)
 
 
-def _wild_torus(t: TilingModel) -> tuple[tuple[tuple[bool, ...], ...], int] | None:
-    """(rows, s) with wild(i, j) = rows[i mod p][(j + s*i) mod q], p x q the
-    shape of ``rows``, or None when no such torus is known.
+def _wild_torus(t: TilingModel) -> tuple[tuple[tuple[bool, ...], ...], int]:
+    """(rows, c) with wild(i, j) = rows[i mod p][(j - c*(i // p)) mod q], where
+    (p, c) and (0, q) are the Hermite basis of translations that keep wildness:
+    (1, 1) and (0, 4) for a rule model, (h, 0) and (0, w) for a periodic block.
 
-    A patched model's wildness is a function of the class u*i + v*j mod m
-    when row 0 meets every class (gcd(v, m) = 1) and each class-preserving
-    translation shifts j - i by an even amount, a background sign flip at
-    most.  Those translations are spanned by (0, m) and (1, -s), s = u/v mod
-    m, so the latter holds when m is even and s odd.  The mask leaves out
-    explicit numeric values: they can cancel in a det3, the default cannot.
+    A patched model has L = {(a, b) : u*a + v*b = 0 (mod m), a = b (mod k)},
+    of index at most k*m.  With k = 2, a translation in L maps the lattice onto
+    itself and shifts j - i by an even amount, which only flips the sign of a
+    background with table[n + 2] = -table[n], as every SL2 rule has.  The
+    parameters sit on its zeros, all of one parity of i + j, so the sign
+    +-(-1)^(i+j) that is +1 there undoes the flip and changes each det2 and
+    det3 by a sign at most.  Other backgrounds take k = 4.  Explicit numeric
+    values are left out: they can cancel in a det3, the default cannot.
     """
     if isinstance(t, RuleBased):
-        p, q, s = 1, 4, -1
+        p, q, c = 1, 4, 1
     elif isinstance(t, PeriodicBlock):
-        p, q, s = t.h, t.w, 0
+        p, q, c = t.h, t.w, 0
     else:
-        u, v, q = t.lattice.u, t.lattice.v, t.lattice.m
-        if gcd(v, q) != 1:
-            return None
-        p, s = 1, u * pow(v, -1, q)
-        if q % 2 or s % 2 == 0:
-            return None
+        u, v, m = t.lattice.u, t.lattice.v, t.lattice.m
+        k = 2 if all(t.base.table[n] == -t.base.table[n - 2] for n in range(4)) else 4
+        q = lcm(m // gcd(v, m), k)
+        p, c = next((a, b) for a in count(1) for b in range(q)
+                    if (u * a + v * b) % m == 0 and (a - b) % k == 0)
         if not t.is_formal():
             t = replace(t, parameters=NumericParameters((), t.parameters.default))
-    return wildness_report(t, 0, 0, p, q).wild, s
+    return wildness_report(t, 0, 0, p, q).wild, c
 
 
 def wild_density_exact(t: TilingModel) -> Fraction:
-    """Wild cells per fundamental domain of a pattern-invariance lattice."""
-    torus = _wild_torus(t)
-    if torus is None:
-        raise UnsupportedOperationError("no invariance lattice detected for this patched model")
-    rows, _ = torus
+    """Wild cells per fundamental domain of the wild torus."""
+    rows, _ = _wild_torus(t)
     return Fraction(sum(map(sum, rows)), len(rows) * len(rows[0]))
 
 
-# Disc rows with a wild torus, bounding-square cells without one.
 _DENSITY_BUDGET = 5_000_000
 
 
@@ -493,25 +495,21 @@ def wild_density_windows(t: TilingModel, radii: Sequence[int]) -> tuple[DensityS
     for r in radii:
         if r < 0:
             raise ValidationError(f"radius must be nonnegative, got {r}")
-    torus = _wild_torus(t)
-    if torus is None:
-        unit, cost = "cells", sum((2 * r + 1) ** 2 for r in radii)
-    else:
-        unit, cost = "rows", sum(2 * r + 1 for r in radii)
-        rows, s = torus
-        p, q = len(rows), len(rows[0])
-        residues = [[k for k, wild in enumerate(row) if wild] for row in rows]
+    cost = sum(2 * r + 1 for r in radii)
     if cost > _DENSITY_BUDGET:
         raise UnsupportedOperationError(
-            f"density would scan {cost} disc {unit}, over the bound of {_DENSITY_BUDGET}"
+            f"density would scan {cost} disc rows, over the bound of {_DENSITY_BUDGET}"
         )
+    rows, c = _wild_torus(t)
+    p, q = len(rows), len(rows[0])
+    residues = [[k for k, wild in enumerate(row) if wild] for row in rows]
     # The torus leaves out explicit numeric values: recount the cells they reach.
     fixes = {}
-    explicit = torus is not None and isinstance(t, Patched) and not t.is_formal()
+    explicit = isinstance(t, Patched) and not t.is_formal()
     for (pi, pj), _ in t.parameters.values if explicit else ():
-        for i in range(pi - 1, pi + 2):
-            for j, wild in enumerate(wildness_report(t, i, pj - 1, 1, 3).wild[0], pj - 1):
-                fixes[i, j] = wild - rows[i % p][(j + s * i) % q]
+        for i, row in enumerate(wildness_report(t, pi - 1, pj - 1, 3, 3).wild, pi - 1):
+            for j, wild in enumerate(row, pj - 1):
+                fixes[i, j] = wild - rows[i % p][(j - c * (i // p)) % q]
     samples = []
     for r in radii:
         wild = sum(d for (i, j), d in fixes.items() if i * i + j * j <= r * r)
@@ -519,12 +517,7 @@ def wild_density_windows(t: TilingModel, radii: Sequence[int]) -> tuple[DensityS
         for i in range(-r, r + 1):
             half = isqrt(r * r - i * i)
             total += 2 * half + 1
-            if torus is None:
-                wild += wildness_report(t, i, -half, 1, 2 * half + 1).wild_count
-            else:
-                wild += sum(
-                    _count_congruent(-half, half, (k - s * i) % q, q) for k in residues[i % p]
-                )
+            wild += sum(_count_congruent(-half, half, k + c * (i // p), q) for k in residues[i % p])
         samples.append(DensitySample(r, wild, total))
     return tuple(samples)
 
@@ -539,15 +532,10 @@ class AuditFinding:
     detail: str
 
 
-def _interior_cells(win: Window):
-    for r in range(1, win.rows - 1):
-        for c in range(1, win.cols - 1):
-            yield r, c
-
-
 def _interior_det3s(win: Window):
     """((r, c), det3 centered there) for every interior cell, row-major."""
-    return zip(_interior_cells(win), _minors(det3_scan, win.matrix))
+    cells = ((r, c) for r in range(1, win.rows - 1) for c in range(1, win.cols - 1))
+    return zip(cells, _minors(det3_scan, win.matrix))
 
 
 def window_colors(win: Window) -> list[list[CellColor]]:

@@ -1,5 +1,6 @@
 import pytest
 
+from sl2tilings import blocks
 from sl2tilings import (
     INTEGERS,
     Matrix,
@@ -164,6 +165,14 @@ class TestRankDeficiency:
             rank_deficiency_report(wildest_formal, 10, mode="symbolic")
         report = rank_deficiency_report(wildest_formal, 10, mode="symbolic", allow_large=True)
         assert sorted(e.deficiency for e in report.entries) == [0, 0, 0]
+
+    def test_probe_guard(self, wildest_formal, monkeypatch):
+        # The guard alone: no class is built on either side of the bound.
+        monkeypatch.setattr(blocks, "_corner_classes", lambda t, n: ())
+        assert rank_deficiency_report(wildest_formal, 48, mode="probe").entries == ()
+        for mode in ("probe", "both"):
+            with pytest.raises(UnsupportedOperationError, match="probe rank is guarded at n <= 48"):
+                rank_deficiency_report(wildest_formal, 49, mode=mode, allow_large=True)
 
     def test_mode_validation(self, wildest_formal):
         with pytest.raises(ValidationError):

@@ -3,12 +3,17 @@ import os
 import shutil
 import subprocess
 import sys
+from argparse import Namespace
 from pathlib import Path
 
 import pytest
 
 import sl2tilings
+from sl2tilings import UnsupportedOperationError, cli
 from sl2tilings.cli import main
+
+EVERY_ZERO_PATCHED = ("sl2tiling v1\nring: Z[a]\nkind: patched\nrows: 1\ncols: 4\n"
+                      "lattice: 2 2 4 0\nparams: formal\n\n0 1 0 -1\n")
 
 
 def run_cli(*argv, capsys=None):
@@ -161,16 +166,14 @@ class TestDensity:
         assert samples[0]["wild"] == 0
 
     def test_radii_bound(self, files, tmp_path):
-        # The cost is bounded before any work: disc rows on a wild torus,
-        # bounding-square cells without one.  Each refusal runs in a capped
-        # subprocess, so a missing guard fails instead of hanging.
-        no_torus = tmp_path / "no_torus.grid"
-        no_torus.write_text("sl2tiling v1\nring: Z[a]\nkind: patched\nrows: 1\ncols: 4\n"
-                            "lattice: 2 2 4 0\nparams: formal\n\n0 1 0 -1\n")
+        # The cost is bounded in disc rows before any work.  Each refusal runs
+        # in a capped subprocess, so a missing guard fails instead of hanging.
+        every_zero = tmp_path / "every_zero.grid"
+        every_zero.write_text(EVERY_ZERO_PATCHED)
         bound = b", over the bound of 5000000"
         cases = [
             (files["wildest"], "1,1000000000", b"density would scan 2000000004 disc rows" + bound),
-            (str(no_torus), "1200", b"density would scan 5764801 disc cells" + bound),
+            (str(every_zero), "2500000", b"density would scan 5000001 disc rows" + bound),
             (files["wildest"], "1000000000,-1", b"radius must be nonnegative, got -1"),
         ]
         for path, radii, message in cases:
@@ -178,6 +181,19 @@ class TestDensity:
                            timeout=60, preexec_fn=_cap_memory)
             assert (proc.returncode, proc.stdout) == (2, b"")
             assert proc.stderr == b"error: " + message + b"\n"
+
+
+    def test_every_zero_patched(self, tmp_path):
+        # The lattice 2i + 2j = 0 (mod 4) has a 1x2 wild torus like any other;
+        # counting these discs cell by cell took minutes.
+        path = tmp_path / "every_zero.grid"
+        path.write_text(EVERY_ZERO_PATCHED)
+        for flags, out in (([], b"exact wild density: 1\n"),
+                           (["--radii", "0,1,5,17,60,1000"], b"r=1000 wild=3141549 total=3141549")):
+            proc = _python(tmp_path, "-m", "sl2tilings", "density", str(path), *flags,
+                           timeout=60, preexec_fn=_cap_memory)
+            assert (proc.returncode, proc.stderr) == (0, b"")
+            assert out in proc.stdout
 
 
 class TestClassesAndRank:
@@ -209,6 +225,12 @@ class TestClassesAndRank:
     def test_rank_guard(self, files, capsys):
         code, _, err = run_cli("rank", files["formal"], "--n", "10", capsys=capsys)
         assert code == 2
+
+    def test_probe_guard(self, files, tmp_path):
+        proc = _python(tmp_path, "-m", "sl2tilings", "rank", files["formal"], "--n", "2000",
+                       "--mode", "probe", timeout=60, preexec_fn=_cap_memory)
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr == b"error: probe rank is guarded at n <= 48\n"
 
 
 class TestAudit:
@@ -322,6 +344,29 @@ class TestRender:
         svg = out_path.read_text()
         assert ">a3999670007</text>" in svg
         assert ">a4000290003</text>" in svg
+
+
+class TestWindowBound:
+    def test_refused_before_any_cell(self, files, tmp_path):
+        # In a capped subprocess, so a missing guard fails instead of
+        # exhausting memory.
+        message = b"error: window 30000x30000 has 900000000 cells, over the bound of 250000\n"
+        for argv in (["verify"], ["audit", "--cross"], ["render", "--out", "big.svg", "--labels"]):
+            proc = _python(tmp_path, "-m", "sl2tilings", argv[0], files["wildest"], *argv[1:],
+                           "--window", "0", "0", "30000", "30000", timeout=60,
+                           preexec_fn=_cap_memory)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", message)
+        assert not (tmp_path / "big.svg").exists()
+
+    def test_bound(self, wildest):
+        # The guard alone: 500 x 500 is the largest square window accepted.
+        assert cli._window(Namespace(window=[3, -4, 500, 500]), wildest) == (3, -4, 500, 500)
+        assert cli._window(Namespace(window=[0, 0, 250_000, 1]), wildest) == (0, 0, 250_000, 1)
+        assert cli._window(Namespace(window=None), wildest) is None
+        # A bad shape is left to the "window shape must be positive" error.
+        assert cli._window(Namespace(window=[0, 0, -600, -600]), wildest) == (0, 0, -600, -600)
+        with pytest.raises(UnsupportedOperationError, match="window 500x501 has 250500 cells"):
+            cli._window(Namespace(window=[0, 0, 500, 501]), wildest)
 
 
 class TestTopLevel:

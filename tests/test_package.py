@@ -1,3 +1,5 @@
+import ast
+from pathlib import Path
 from types import ModuleType
 
 import sl2tilings
@@ -14,3 +16,24 @@ def test_all_lists_every_public_name():
     }
     assert public - set(sl2tilings.__all__) == set()
     assert set(sl2tilings.__all__) <= public
+
+
+def test_every_import_is_used():
+    # A name a module imports must be read in it or re-exported through __all__.
+    unused = []
+    for path in sorted(Path(sl2tilings.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name.partition(".")[0], node.lineno) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update((a.asname or a.name, node.lineno) for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+            ):
+                used.update(ast.literal_eval(node.value))
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert unused == []

@@ -2,10 +2,11 @@ import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from sl2tilings import matrices
+from sl2tilings import matrices, tiling
 from sl2tilings import (
     INTEGERS,
     POLYNOMIALS,
@@ -56,11 +57,6 @@ def patched_model(spec, formal):
     near = [(i, j) for i in range(-3, 4) for j in range(-3, 4) if lat.contains(i, j)]
     return Patched(ring, base, lat, NumericParameters.from_mapping(
         {pos: v for pos, v in zip(near, (3, -1, 7, 2))}, -2))
-
-
-def no_torus_model():
-    # gcd(v, m) = 2: row 0 misses half the classes, so no wild torus is known.
-    return patched_model((2, 2, 4, 0), formal=True)
 
 
 class TestSublattice:
@@ -201,6 +197,35 @@ class TestModels:
         base = RuleBased(POLYNOMIALS, table)
         with pytest.raises(ValidationError):
             Patched(POLYNOMIALS, base, WILDEST_LATTICE, FormalParameters())
+
+    def test_background_check_names_first_position(self):
+        # Against every cell of [0, lcm(m, 4))^2, read row-major.
+        for table in ((0, 1, 0, -1), (1, 0, -1, 0), (0, 0, 1, -1)):
+            base = RuleBased(INTEGERS, tuple(INTEGERS.value(v) for v in table))
+            for m in range(1, 9):
+                period = range(m * 4 // gcd(m, 4))
+                for u, v, t in itertools.product(range(m), repeat=3):
+                    lat = SublatticeSpec(u, v, m, t)
+                    first = next(((i, j) for i in period for j in period
+                                  if lat.contains(i, j) and base.entry(i, j).payload), None)
+                    if first is None:
+                        Patched(INTEGERS, base, lat, NumericParameters((), 1))
+                        continue
+                    with pytest.raises(ValidationError) as err:
+                        Patched(INTEGERS, base, lat, NumericParameters((), 1))
+                    assert str(err.value) == f"background is nonzero at lattice position {first}"
+
+    def test_background_check_is_linear_in_m(self, monkeypatch):
+        # At most 4 background entries a row of one period, and no cell scan.
+        calls = []
+        entry, contains = RuleBased.entry, SublatticeSpec.contains
+        monkeypatch.setattr(RuleBased, "entry", lambda *a: calls.append(1) or entry(*a))
+        monkeypatch.setattr(SublatticeSpec, "contains", lambda *a: calls.append(1) or contains(*a))
+        base = wildest_integer_tiling().base
+        for lat in (SublatticeSpec(3, 1, 2000, 6), SublatticeSpec(2, 2, 2000, 0)):
+            calls.clear()
+            Patched(INTEGERS, base, lat, NumericParameters((), 1))
+            assert len(calls) <= 4 * 2000
 
     def test_patched_parameter_ring_pairing(self):
         t = wildest_integer_tiling()
@@ -389,8 +414,9 @@ class TestDensity:
     def test_window_samples_match_direct_count(self, wildest, wildest_formal, z36, unit):
         explicit = wildest_integer_tiling(NumericParameters.from_mapping(
             {parameter_position(WILDEST_LATTICE, k): v for k, v in ((1, 5), (3, -2), (7, 4))}, 2))
-        models = [wildest, wildest_formal, explicit, z36, unit, no_torus_model()]
-        for spec in ((1, 3, 8, 0), (5, 1, 12, 0), (3, 5, 16, 2)):
+        models = [wildest, wildest_formal, explicit, z36, unit]
+        for spec in ((2, 2, 4, 0), (1, 3, 6, 0), (0, 2, 4, 1), (1, 3, 8, 0), (5, 1, 12, 0),
+                     (3, 5, 16, 2)):
             models += [patched_model(spec, formal=True), patched_model(spec, formal=False)]
         for t in models:
             for r in (5, 9):
@@ -421,7 +447,10 @@ class TestDensity:
         monkeypatch.setattr(matrices, "det3", lambda rows: calls.append(1) or det3(rows))
         cases = [(catalog["unit"], 4), (catalog["z36"], 16), (catalog["pqrs"], 16),
                  (catalog["wildest"], 10), (wildest_formal, 10),
-                 (patched_model((3, 5, 16, 2), formal=True), 16)]
+                 (patched_model((3, 5, 16, 2), formal=True), 16),
+                 (patched_model((2, 2, 4, 0), formal=True), 2),
+                 (patched_model((1, 3, 6, 0), formal=True), 6),
+                 (patched_model((0, 2, 4, 1), formal=True), 4)]
         for t, cost in cases:
             for density in (wild_density_exact, lambda t: wild_density_windows(t, [0, 7, 40])):
                 calls.clear()
@@ -440,9 +469,45 @@ class TestDensity:
         for s in wild_density_windows(wildest, [50, 120, 500]):
             assert abs(s.ratio - Fraction(2, 5)) <= Fraction(10, s.radius)
 
-    def test_no_lattice_detected(self):
-        with pytest.raises(UnsupportedOperationError):
-            wild_density_exact(no_torus_model())
+    def test_every_zero_a_parameter(self):
+        # 2i + 2j = 0 (mod 4) puts a parameter on every zero of the background,
+        # so no cell is a tame zero: the 1x2 torus is all wild.
+        for formal in (True, False):
+            t = patched_model((2, 2, 4, 0), formal)
+            assert wild_density_exact(t) == 1
+            if not formal:
+                t = replace(t, parameters=NumericParameters((), -2))
+            assert all(classify_entry(t, i, j)[0] for i in range(-4, 5) for j in range(-4, 5))
+
+    def test_torus_matches_classify_entry(self, catalog, wildest_formal):
+        # Every lattice with m <= 8 over two SL2 backgrounds (zeros at even and
+        # at odd j - i) and one without table[n + 2] = -table[n], formal and
+        # with a default value; the catalog; and a rule whose wild mask a shear
+        # of the wrong sign would move.  Each on a window of two periods each way.
+        def torus_shape(t):
+            rows, c = tiling._wild_torus(t)
+            p, q = len(rows), len(rows[0])
+            for i in range(-p, p):
+                for j in range(-q, q):
+                    assert rows[i % p][(j - c * (i // p)) % q] == classify_entry(t, i, j)[0], (t, i, j)
+            return p, q
+
+        rule = RuleBased(INTEGERS, tuple(INTEGERS.value(v) for v in (-1, -1, -1, 2)))
+        assert torus_shape(rule) == (1, 4)
+        for t in (*catalog.values(), wildest_formal):
+            torus_shape(t)
+        for table, k in (((0, 1, 0, -1), 2), ((1, 0, -1, 0), 2), ((0, 0, 0, 1), 4)):
+            for m in range(1, 9):
+                for spec in itertools.product(range(m), range(m), [m], range(m)):
+                    for ring, params in ((POLYNOMIALS, FormalParameters()),
+                                         (INTEGERS, NumericParameters((), -2))):
+                        base = RuleBased(ring, tuple(ring.value(v) for v in table))
+                        try:
+                            t = Patched(ring, base, SublatticeSpec(*spec), params)
+                        except ValidationError:
+                            continue
+                        p, q = torus_shape(t)
+                        assert p * q <= k * m
 
 
 class TestAudits:
