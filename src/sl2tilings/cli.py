@@ -37,15 +37,13 @@ from .tiling import (
     PeriodicBlock,
     RuleBased,
     Window,
-    corner_audit,
-    dodgson_audit,
+    audit_window,
     extract_window,
     parameter_position,
     verify_sl2,
     verify_window,
     wild_density_exact,
     wild_density_windows,
-    zero_cross_audit,
 )
 
 
@@ -68,13 +66,16 @@ _WINDOW_CELLS = 250_000
 
 
 def _window(args, obj) -> tuple[int, int, int, int] | None:
-    """--window of a model document, refused above the cell bound before any cell is built."""
+    """--window of a model document, refused when empty or above the cell
+    bound before any cell is built."""
     if args.window is None:
         return None
     if isinstance(obj, Window):
         raise ValidationError("--window applies to model documents only")
     h, w = args.window[2:]
-    if min(h, w) > 0 and h * w > _WINDOW_CELLS:
+    if h < 1 or w < 1:
+        raise ValidationError(f"window shape must be positive, got {h}x{w}")
+    if h * w > _WINDOW_CELLS:
         raise UnsupportedOperationError(
             f"window {h}x{w} has {h * w} cells, over the bound of {_WINDOW_CELLS}"
         )
@@ -300,20 +301,10 @@ def _cmd_rank(args) -> int:
 def _cmd_audit(args) -> int:
     obj = _load(args.file)
     checks = [name for name in ("dodgson", "corner", "cross") if getattr(args, name)]
-    if not checks:
-        checks = ["dodgson", "corner"]
+    checks = checks or ["dodgson", "corner"]
     i0, j0, h, w = _window(args, obj) or (0, 0, 40, 40)
     win = obj if isinstance(obj, Window) else extract_window(obj, i0 - 1, j0 - 1, h + 2, w + 2)
-    runners = {
-        "dodgson": dodgson_audit,
-        "corner": corner_audit,
-        "cross": zero_cross_audit,
-    }
-    findings = []
-    for name in checks:
-        finding = runners[name](win)
-        if finding is not None:
-            findings.append(finding)
+    findings = [f for f in audit_window(win, checks) if f is not None]
     ok = not findings
     if args.json:
         _print_json(
@@ -380,10 +371,9 @@ def _cmd_search(args) -> int:
 
 def _cmd_render(args) -> int:
     obj = _load(args.file)
-    region = None if isinstance(obj, Window) else _window(args, obj)
     svg = render_svg(
         obj,
-        region=region,
+        region=_window(args, obj),
         options=RenderOptions(cell_size=args.cell_size, labels=args.labels),
         force=args.force,
     )

@@ -548,67 +548,67 @@ def window_colors(win: Window) -> list[list[CellColor]]:
     ]
 
 
+def audit_window(win: Window, checks: Sequence[str]) -> list[AuditFinding | None]:
+    """Row-major first finding of each named check, in the order named, from
+    one det3 scan of the interior cells.  The checks "dodgson", "corner" and
+    "cross" are those of dodgson_audit, corner_audit and zero_cross_audit;
+    each stops at its first finding."""
+    for name in checks:
+        if name not in ("dodgson", "corner", "cross"):
+            raise ValidationError(f"unknown audit check {name!r}")
+    domain = not isinstance(win.matrix.spec, ModularRing)
+    if "cross" in checks and not domain:
+        raise UnsupportedOperationError("zero-cross conditions hold over integral domains")
+    oi, oj = win.origin
+    found: dict[str, AuditFinding] = {}
+    pending = list(dict.fromkeys(checks))
+    for (r, c), d3 in _interior_det3s(win):
+        e = win.at(r, c)
+        for name in tuple(pending):
+            hit = None
+            if name == "dodgson":
+                if not (e * d3).is_zero():
+                    hit = "dodgson", f"entry {e} times det3 {d3} is nonzero"
+                elif domain and not d3.is_zero() and not e.is_zero():
+                    hit = "wild-entry-nonzero", f"wild cell holds {e}"
+            elif name == "corner":
+                predicted = corner_det3(
+                    e,
+                    (win.at(r - 1, c - 1), win.at(r - 1, c + 1), win.at(r + 1, c - 1), win.at(r + 1, c + 1)),
+                )
+                if d3 != predicted:
+                    hit = "corner", f"det3 {d3} but corner formula gives {predicted}"
+            elif e.is_zero():
+                n, w, ea, s = win.at(r - 1, c), win.at(r, c - 1), win.at(r, c + 1), win.at(r + 1, c)
+                plus_cross = n.is_one() and (-w).is_one() and ea.is_one() and (-s).is_one()
+                minus_cross = (-n).is_one() and w.is_one() and (-ea).is_one() and s.is_one()
+                if not (plus_cross or minus_cross):
+                    hit = "cross-pattern", f"zero with side neighbors ({n}, {w}, {ea}, {s})"
+                elif not d3.is_zero() and all(
+                    win.at(r + dr, c + dc).is_zero() for dr in (-1, 1) for dc in (-1, 1)
+                ):
+                    hit = "wild-isolated", "wild zero with all diagonals zero"
+            if hit:
+                found[name] = AuditFinding(oi + r, oj + c, *hit)
+                pending.remove(name)
+        if not pending:
+            break
+    return [found.get(name) for name in checks]
+
+
 def dodgson_audit(win: Window) -> AuditFinding | None:
     """Check e * det3 = 0 at every interior cell; over an integral domain
     additionally check that wild cells hold 0."""
-    domain = not isinstance(win.matrix.spec, ModularRing)
-    oi, oj = win.origin
-    for (r, c), d3 in _interior_det3s(win):
-        e = win.at(r, c)
-        if not (e * d3).is_zero():
-            return AuditFinding(
-                oi + r, oj + c, "dodgson", f"entry {e} times det3 {d3} is nonzero"
-            )
-        if domain and not d3.is_zero() and not e.is_zero():
-            return AuditFinding(
-                oi + r, oj + c, "wild-entry-nonzero", f"wild cell holds {e}"
-            )
-    return None
+    return audit_window(win, ["dodgson"])[0]
 
 
 def corner_audit(win: Window) -> AuditFinding | None:
     """Check det3 = (a+c+g+i) + (cg - ai)*e at every interior cell."""
-    oi, oj = win.origin
-    for (r, c), d3 in _interior_det3s(win):
-        predicted = corner_det3(
-            win.at(r, c),
-            (win.at(r - 1, c - 1), win.at(r - 1, c + 1), win.at(r + 1, c - 1), win.at(r + 1, c + 1)),
-        )
-        if d3 != predicted:
-            return AuditFinding(
-                oi + r, oj + c, "corner", f"det3 {d3} but corner formula gives {predicted}"
-            )
-    return None
+    return audit_window(win, ["corner"])[0]
 
 
 def zero_cross_audit(win: Window) -> AuditFinding | None:
     """Check the local conditions forced at zeros: the four side neighbors
     of any zero form a +1/-1 cross in one of the two orientations, and a wild
     zero has at least one nonzero diagonal neighbor.  Integral domains only."""
-    if isinstance(win.matrix.spec, ModularRing):
-        raise UnsupportedOperationError("zero-cross conditions hold over integral domains")
-    oi, oj = win.origin
-    for (r, c), d3 in _interior_det3s(win):
-        if not win.at(r, c).is_zero():
-            continue
-        n = win.at(r - 1, c)
-        w = win.at(r, c - 1)
-        e = win.at(r, c + 1)
-        s = win.at(r + 1, c)
-        plus_cross = n.is_one() and (-w).is_one() and e.is_one() and (-s).is_one()
-        minus_cross = (-n).is_one() and w.is_one() and (-e).is_one() and s.is_one()
-        if not (plus_cross or minus_cross):
-            return AuditFinding(
-                oi + r, oj + c, "cross-pattern",
-                f"zero with side neighbors ({n}, {w}, {e}, {s})",
-            )
-        if not d3.is_zero():
-            diagonals = [
-                win.at(r - 1, c - 1), win.at(r - 1, c + 1),
-                win.at(r + 1, c - 1), win.at(r + 1, c + 1),
-            ]
-            if all(d.is_zero() for d in diagonals):
-                return AuditFinding(
-                    oi + r, oj + c, "wild-isolated", "wild zero with all diagonals zero"
-                )
-    return None
+    return audit_window(win, ["cross"])[0]

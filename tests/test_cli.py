@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import shutil
@@ -9,9 +10,12 @@ from pathlib import Path
 import pytest
 
 import sl2tilings
-from sl2tilings import UnsupportedOperationError, cli
+from sl2tilings import UnsupportedOperationError, ValidationError, cli
 from sl2tilings.cli import main
+from sl2tilings.matrices import det3
 
+FAILING_WINDOW = ("sl2tiling v1\nring: Z\nkind: window\nrows: 3\ncols: 5\norigin: 7 -3\n\n"
+                  "0 1 1 2 2\n-1 2 0 2 2\n0 1 1 -1 2\n")
 EVERY_ZERO_PATCHED = ("sl2tiling v1\nring: Z[a]\nkind: patched\nrows: 1\ncols: 4\n"
                       "lattice: 2 2 4 0\nparams: formal\n\n0 1 0 -1\n")
 
@@ -265,6 +269,49 @@ class TestAudit:
         assert payload["violations"][0]["check"] in ("dodgson", "wild-entry-nonzero", "corner")
 
 
+    @pytest.mark.parametrize("doc", ["wildest", "formal"])
+    def test_one_det3_per_cell(self, files, capsys, monkeypatch, doc):
+        calls = []
+
+        def counted(rows):
+            calls.append(rows)
+            return det3(rows)
+
+        monkeypatch.setattr(sl2tilings.matrices, "det3", counted)
+        for k in range(4):
+            for flags in itertools.combinations(["--dodgson", "--corner", "--cross"], k):
+                calls.clear()
+                code, _, _ = run_cli("audit", files[doc], *flags, "--window", "3", "-5", "4", "6",
+                                     capsys=capsys)
+                assert (code, len(calls)) == (0, 24)
+
+    def test_cross_refused_before_any_output(self, files, capsys):
+        code, out, err = run_cli("audit", files["z36"], "--dodgson", "--cross", capsys=capsys)
+        assert (code, out, err) == (2, "", "error: zero-cross conditions hold over integral domains\n")
+
+    def test_first_failure_of_each_check(self, files, capsys):
+        path = files["dir"] / "failing.grid"
+        path.write_text(FAILING_WINDOW)
+        code, out, _ = run_cli("audit", str(path), "--dodgson", "--corner", "--cross", capsys=capsys)
+        assert code == 1
+        assert out == (
+            "dodgson violation at (8, 0): entry 2 times det3 6 is nonzero\n"
+            "corner violation at (8, -2): det3 0 but corner formula gives 2\n"
+            "cross-pattern violation at (8, -1): zero with side neighbors (1, 2, 2, 1)\n"
+        )
+        code, out, _ = run_cli("audit", str(path), "--json", capsys=capsys)
+        assert code == 1
+        assert json.loads(out) == {
+            "command": "audit",
+            "model": "window 3x5 at (7, -3) over Z",
+            "ok": False,
+            "violations": [
+                {"i": 8, "j": 0, "check": "dodgson", "detail": "entry 2 times det3 6 is nonzero"},
+                {"i": 8, "j": -2, "check": "corner", "detail": "det3 0 but corner formula gives 2"},
+            ],
+        }
+
+
 class TestSearch:
     def test_text_summary(self, capsys):
         code, out, _ = run_cli("search", "--modulus", "4", "--rows", "2", "--cols", "2",
@@ -363,10 +410,26 @@ class TestWindowBound:
         assert cli._window(Namespace(window=[3, -4, 500, 500]), wildest) == (3, -4, 500, 500)
         assert cli._window(Namespace(window=[0, 0, 250_000, 1]), wildest) == (0, 0, 250_000, 1)
         assert cli._window(Namespace(window=None), wildest) is None
-        # A bad shape is left to the "window shape must be positive" error.
-        assert cli._window(Namespace(window=[0, 0, -600, -600]), wildest) == (0, 0, -600, -600)
+        for h, w in ((-600, -600), (0, 5), (-2, 5), (5, 0)):
+            with pytest.raises(ValidationError, match=f"window shape must be positive, got {h}x{w}"):
+                cli._window(Namespace(window=[0, 0, h, w]), wildest)
         with pytest.raises(UnsupportedOperationError, match="window 500x501 has 250500 cells"):
             cli._window(Namespace(window=[0, 0, 500, 501]), wildest)
+
+
+    def test_every_command_refuses_an_empty_window(self, files, capsys):
+        for argv in (["verify"], ["audit"], ["audit", "--cross"], ["render", "--out", "e.svg"]):
+            code, out, err = run_cli(argv[0], files["wildest"], *argv[1:], "--window", "0", "0", "0", "5",
+                                     capsys=capsys)
+            assert (code, out, err) == (2, "", "error: window shape must be positive, got 0x5\n")
+
+    def test_window_document_refuses_window(self, files, capsys):
+        path = files["dir"] / "win.grid"
+        path.write_text(sl2tilings.write_grid(sl2tilings.extract_window(sl2tilings.unit_tiling(), 0, 0, 4, 4)))
+        for argv in (["verify"], ["audit"], ["render", "--out", str(files["dir"] / "w.svg")]):
+            code, out, err = run_cli(argv[0], str(path), *argv[1:], "--window", "0", "0", "2", "2",
+                                     capsys=capsys)
+            assert (code, out, err) == (2, "", "error: --window applies to model documents only\n")
 
 
 class TestTopLevel:

@@ -1,6 +1,7 @@
 import pytest
 
 import sl2tilings.search
+from sl2tilings.matrices import det2
 from sl2tilings import (
     SearchConfig,
     UnsupportedOperationError,
@@ -168,6 +169,17 @@ class TestOracle:
     def test_state_guard(self):
         with pytest.raises(UnsupportedOperationError):
             brute_force_oracle(7, 4, 4)
+
+    def test_row_pairs_grow_column_by_column(self, monkeypatch):
+        calls = []
+
+        def counted(*cells):
+            calls.append(cells)
+            return det2(*cells)
+
+        monkeypatch.setattr(sl2tilings.search, "det2", counted)
+        brute_force_oracle(3, 2, 6)
+        assert len(calls) < 3**12 / 10
 
     def test_counts_all_states(self):
         result = brute_force_oracle(3, 2, 2)

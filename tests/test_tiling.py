@@ -3,6 +3,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,6 +25,7 @@ from sl2tilings import (
     UnsupportedOperationError,
     ValidationError,
     Window,
+    audit_window,
     centered_det3,
     classify_entry,
     corner_audit,
@@ -568,3 +570,71 @@ class TestAudits:
         finding = corner_audit(win)
         assert finding is not None
         assert finding.check == "corner"
+
+
+def first_failures(win):
+    """(i, j, check) of each check's row-major first failing cell, worked out
+    cell by cell from centered_det3 and corner_det3."""
+    grid = SimpleNamespace(entry=win.at)
+    domain = not isinstance(win.matrix.spec, ModularRing)
+    first = {}
+    for r in range(1, win.rows - 1):
+        for c in range(1, win.cols - 1):
+            e, d3 = win.at(r, c), centered_det3(grid, r, c)
+            corners = [win.at(r + dr, c + dc) for dr in (-1, 1) for dc in (-1, 1)]
+            sides = [win.at(r - 1, c), win.at(r, c - 1), win.at(r, c + 1), win.at(r + 1, c)]
+            failed = {"corner": "corner" if d3 != corner_det3(e, corners) else None}
+            if not (e * d3).is_zero():
+                failed["dodgson"] = "dodgson"
+            elif domain and not d3.is_zero() and not e.is_zero():
+                failed["dodgson"] = "wild-entry-nonzero"
+            if domain and e.is_zero():
+                if [v.constant_value() for v in sides] not in ([1, -1, 1, -1], [-1, 1, -1, 1]):
+                    failed["cross"] = "cross-pattern"
+                elif not d3.is_zero() and all(v.is_zero() for v in corners):
+                    failed["cross"] = "wild-isolated"
+            for name, check in failed.items():
+                if check and name not in first:
+                    first[name] = (win.origin[0] + r, win.origin[1] + c, check)
+    return first
+
+
+class TestAuditWindow:
+    def test_first_failure_of_each_check(self, catalog, wildest_formal):
+        seen = set()
+        for t in [*catalog.values(), wildest_formal]:
+            clean = extract_window(t, -2, 3, 5, 6)
+            one, zero = t.ring.one(), t.ring.zero()
+            names = ("dodgson", "corner") if isinstance(t.ring, ModularRing) else ("dodgson", "corner", "cross")
+            for r, c in itertools.product(range(5), range(6)):
+                for bumped in (clean.at(r, c) + one, zero):
+                    rows = [list(clean.matrix.row(k)) for k in range(5)]
+                    rows[r][c] = bumped
+                    win = Window(Matrix.from_rows(t.ring, rows), clean.origin)
+                    first = first_failures(win)
+                    seen.update(check for _, _, check in first.values())
+                    for k in range(1, len(names) + 1):
+                        for checks in itertools.permutations(names, k):
+                            got = audit_window(win, checks)
+                            assert [f and (f.i, f.j, f.check) for f in got] == [first.get(n) for n in checks]
+        # "wild-entry-nonzero" and "wild-isolated" cannot occur: e * det3 = 0
+        # in a domain makes e or det3 zero, and det3 vanishes at a zero whose
+        # diagonals are all zero.
+        assert seen == {"dodgson", "corner", "cross-pattern"}
+
+    def test_stops_when_every_check_has_a_finding(self, monkeypatch):
+        calls = []
+        det3 = matrices.det3
+        monkeypatch.setattr(matrices, "det3", lambda rows: calls.append(rows) or det3(rows))
+        win = int_window([[1, 2, 3, 4], [4, 5, 6, 7], [7, 8, 10, 11], [1, 1, 1, 1]])
+        found = audit_window(win, ["corner", "dodgson"])
+        assert [(f.i, f.j, f.check) for f in found] == [(1, 1, "corner"), (1, 1, "dodgson")]
+        assert len(calls) == 1
+
+    def test_refusals_before_the_scan(self, z36, monkeypatch):
+        win = extract_window(z36, 0, 0, 6, 6)
+        monkeypatch.setattr(tiling, "_interior_det3s", None)
+        with pytest.raises(UnsupportedOperationError, match="zero-cross conditions hold over integral domains"):
+            audit_window(win, ["dodgson", "cross"])
+        with pytest.raises(ValidationError, match="unknown audit check 'corners'"):
+            audit_window(win, ["corners"])
