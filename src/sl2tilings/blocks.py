@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import StructuralError, UnsupportedOperationError, ValidationError
 from .matrices import Matrix, bareiss_rank
-from .rings import INTEGERS, RingValue, poly_eval
+from .rings import INTEGERS, RingSpec, RingValue, poly_eval
 from .tiling import Patched, TilingModel, Window, extract_window
 
 MAX_CLASS_DIM = 12
@@ -28,6 +29,11 @@ MAX_SYMBOLIC_DIM = 9
 _PROBE_TRIALS = 5
 # Probe rank at n = 48 takes a few seconds; it grows about as n^3.
 _MAX_PROBE_DIM = 48
+# Certified rank: the prime of the modular lower bound, the seed of its
+# evaluation point, and the largest kernel support expanded into minors.
+_P = (1 << 61) - 1
+_POINT_SEED = "sl2tilings certified rank"
+_MAX_SUPPORT = 12
 
 _ZERO = "0"
 _PLUS = "+"
@@ -162,8 +168,86 @@ class RankReport:
     entries: tuple[RankEntry, ...]
 
 
+def _evaluation_point(variables: list[int]) -> dict[str, int]:
+    rng = random.Random(_POINT_SEED)
+    return {f"a{k}": rng.randrange(1, _P) for k in variables}
+
+
+def _rref_mod_p(rows: list[list[int]]) -> list[int]:
+    """Reduce rows (residues mod _P) to reduced row echelon form in place;
+    return the pivot columns, the first of each nonzero row."""
+    pivots: list[int] = []
+    for c in range(len(rows[0])):
+        r = len(pivots)
+        k = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if k is None:
+            continue
+        inv = pow(rows[k][c], -1, _P)
+        rows[r], rows[k] = rows[k], rows[r]
+        rows[r] = [x * inv % _P for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                f = row[c]
+                rows[i] = [(x - f * y) % _P for x, y in zip(row, rows[r])]
+        pivots.append(c)
+        if len(pivots) == len(rows):
+            break
+    return pivots
+
+
+def _cramer_vector(rows: list[list[RingValue]], spec: RingSpec) -> list[RingValue]:
+    """The kernel vector of an (s-1) x s matrix whose j-th entry is (-1)^j
+    times the minor without column j: each row's product with it is the
+    Laplace expansion of a determinant with a repeated row, hence 0."""
+    s = len(rows) + 1
+    # minors[cols]: determinant of the bottom len(cols) rows on columns cols.
+    minors = {(): spec.one()}
+    for size, row in enumerate(reversed(rows), 1):
+        grown = {}
+        for cols in combinations(range(s), size):
+            total = spec.zero()
+            for t, j in enumerate(cols):
+                sub = minors[cols[:t] + cols[t + 1:]]
+                if not (row[j].is_zero() or sub.is_zero()):
+                    total = total - row[j] * sub if t % 2 else total + row[j] * sub
+            grown[cols] = total
+        minors = grown
+    full = tuple(range(s))
+    vector = [minors[full[:j] + full[j + 1:]] for j in full]
+    return [-v if j % 2 else v for j, v in enumerate(vector)]
+
+
 def _symbolic_deficiency(win: Window) -> int:
-    return win.rows - bareiss_rank(win.matrix)
+    """rows - rank over Q(a), certified by two bounds that meet.
+
+    The rank r of the entries evaluated at one point mod _P is a lower bound:
+    evaluation and reduction can only lower rank.  Each kernel basis vector
+    of that reduction has a support S of one free column and the pivot
+    columns it touches; s - 1 rows independent on S mod _P give an exact
+    vector over Z[a] by Cramer's rule, and M * v = 0 is checked exactly.
+    Vectors that evaluate to a kernel basis are independent, so the rank is
+    at most r.  Any failed check, or a support above _MAX_SUPPORT, falls
+    back to Bareiss elimination.
+    """
+    cells = [[win.at(r, c) for c in range(win.cols)] for r in range(win.rows)]
+    point = _evaluation_point(sorted({k for row in cells for v in row for k in v.variables()}))
+    values = [[poly_eval(v, point).payload % _P for v in row] for row in cells]
+    echelon = [row[:] for row in values]
+    pivots = _rref_mod_p(echelon)
+    spec = win.matrix.spec
+    for f in sorted(set(range(win.cols)) - set(pivots)):
+        support = sorted([f] + [c for k, c in enumerate(pivots) if echelon[k][f]])
+        if len(support) > _MAX_SUPPORT:
+            return win.rows - bareiss_rank(win.matrix)
+        chosen = _rref_mod_p([[row[j] for row in values] for j in support])
+        vector = _cramer_vector([[cells[i][j] for j in support] for i in chosen], spec)
+        for row in cells:
+            total = spec.zero()
+            for j, x in zip(support, vector):
+                total = total + row[j] * x
+            if not total.is_zero():
+                return win.rows - bareiss_rank(win.matrix)
+    return win.rows - len(pivots)
 
 
 def _probe_deficiency(win: Window, seed: int) -> int:
@@ -193,12 +277,18 @@ def rank_deficiency_report(
 ) -> RankReport:
     """Rank deficiencies (n - rank) of the class representatives.
 
-    Symbolic mode eliminates over the polynomial ring and is exact; it is
-    guarded at n <= 9 unless ``allow_large`` is set.  Probe mode (n <= 48)
-    evaluates the parameters at distinct random integers in [2, 2^16) and
-    reports the best deficiency over ``_PROBE_TRIALS`` independent
-    assignments; evaluation can only lower rank, so the result is an upper
-    bound on the symbolic deficiency.
+    Symbolic mode is exact over Q(a) and guarded at n <= 9 unless
+    ``allow_large`` is set.  It certifies each deficiency with two bounds:
+    the rank mod 2^61 - 1 at one fixed point is a lower bound on the rank,
+    and exact kernel vectors over Z[a], built by Cramer's rule on the
+    supports of the modular kernel and checked by multiplication, give the
+    upper bound.  A class whose certificate fails falls back to Bareiss
+    elimination over Z[a], so the result never depends on the point.
+
+    Probe mode (n <= 48) evaluates the parameters at distinct random
+    integers in [2, 2^16) and reports the best deficiency over
+    ``_PROBE_TRIALS`` independent assignments; evaluation can only lower
+    rank, so the result is an upper bound on the symbolic deficiency.
     """
     if mode not in ("symbolic", "probe", "both"):
         raise ValidationError(f"unknown rank mode {mode!r}")

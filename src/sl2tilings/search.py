@@ -20,7 +20,6 @@ produced or ruled out by a failing row pair.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from math import gcd
@@ -205,6 +204,10 @@ def search_fully_wild(config: SearchConfig) -> SearchResult:
     if workers == 1:
         outcomes = [_search_partition(parts[0])]
     else:
+        # Imported here: a single-worker search, and every other command,
+        # skips its start-up cost.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
             outcomes = list(pool.map(_search_partition, parts))
     merged: set[Block] = set()

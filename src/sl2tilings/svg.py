@@ -8,7 +8,6 @@ white, any other nonzero grey.  Output is byte-identical across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 from .errors import ValidationError
 from .tiling import (
@@ -23,6 +22,13 @@ from .tiling import (
     wildness_report,
     window_colors,
 )
+
+
+def _escape(text: str) -> str:
+    """XML character data: xml.sax.saxutils.escape without the urllib and
+    email imports that module pulls in."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
 
 COLOR_HEX = {
     CellColor.PLUS_ONE: "#cfe8ff",
@@ -115,7 +121,7 @@ def render_svg(
                     f'<text x="{c * size + size // 2}" y="{r * size + size // 2}" '
                     f'font-family="monospace" font-size="{font}" fill="{text_fill}" '
                     f'text-anchor="middle" dominant-baseline="central">'
-                    f"{escape(labels[r][c])}</text>"
+                    f"{_escape(labels[r][c])}</text>"
                 )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

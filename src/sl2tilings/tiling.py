@@ -556,8 +556,7 @@ def audit_window(win: Window, checks: Sequence[str]) -> list[AuditFinding | None
     for name in checks:
         if name not in ("dodgson", "corner", "cross"):
             raise ValidationError(f"unknown audit check {name!r}")
-    domain = not isinstance(win.matrix.spec, ModularRing)
-    if "cross" in checks and not domain:
+    if "cross" in checks and isinstance(win.matrix.spec, ModularRing):
         raise UnsupportedOperationError("zero-cross conditions hold over integral domains")
     oi, oj = win.origin
     found: dict[str, AuditFinding] = {}
@@ -569,8 +568,6 @@ def audit_window(win: Window, checks: Sequence[str]) -> list[AuditFinding | None
             if name == "dodgson":
                 if not (e * d3).is_zero():
                     hit = "dodgson", f"entry {e} times det3 {d3} is nonzero"
-                elif domain and not d3.is_zero() and not e.is_zero():
-                    hit = "wild-entry-nonzero", f"wild cell holds {e}"
             elif name == "corner":
                 predicted = corner_det3(
                     e,
@@ -584,10 +581,6 @@ def audit_window(win: Window, checks: Sequence[str]) -> list[AuditFinding | None
                 minus_cross = (-n).is_one() and w.is_one() and (-ea).is_one() and s.is_one()
                 if not (plus_cross or minus_cross):
                     hit = "cross-pattern", f"zero with side neighbors ({n}, {w}, {ea}, {s})"
-                elif not d3.is_zero() and all(
-                    win.at(r + dr, c + dc).is_zero() for dr in (-1, 1) for dc in (-1, 1)
-                ):
-                    hit = "wild-isolated", "wild zero with all diagonals zero"
             if hit:
                 found[name] = AuditFinding(oi + r, oj + c, *hit)
                 pending.remove(name)
@@ -597,8 +590,8 @@ def audit_window(win: Window, checks: Sequence[str]) -> list[AuditFinding | None
 
 
 def dodgson_audit(win: Window) -> AuditFinding | None:
-    """Check e * det3 = 0 at every interior cell; over an integral domain
-    additionally check that wild cells hold 0."""
+    """Check e * det3 = 0 at every interior cell.  Over an integral domain
+    this already implies that wild cells hold 0."""
     return audit_window(win, ["dodgson"])[0]
 
 
@@ -608,7 +601,8 @@ def corner_audit(win: Window) -> AuditFinding | None:
 
 
 def zero_cross_audit(win: Window) -> AuditFinding | None:
-    """Check the local conditions forced at zeros: the four side neighbors
-    of any zero form a +1/-1 cross in one of the two orientations, and a wild
-    zero has at least one nonzero diagonal neighbor.  Integral domains only."""
+    """Check the local condition forced at zeros: the four side neighbors
+    of any zero form a +1/-1 cross in one of the two orientations.  Integral
+    domains only.  That a wild zero has a nonzero diagonal neighbor is
+    implied: every term of det3 holds the center or a corner."""
     return audit_window(win, ["cross"])[0]

@@ -9,6 +9,7 @@ from sl2tilings import (
     UnsupportedOperationError,
     ValidationError,
     Window,
+    bareiss_rank,
     canonical_block_form,
     enumerate_block_classes,
     extract_window,
@@ -173,6 +174,41 @@ class TestRankDeficiency:
         for mode in ("probe", "both"):
             with pytest.raises(UnsupportedOperationError, match="probe rank is guarded at n <= 48"):
                 rank_deficiency_report(wildest_formal, 49, mode=mode, allow_large=True)
+
+    def test_certified_matches_bareiss(self, wildest_formal):
+        for n in range(1, 15):
+            report = rank_deficiency_report(wildest_formal, n, mode="symbolic", allow_large=True)
+            for e in report.entries:
+                assert e.deficiency == n - bareiss_rank(e.block_class.representative.matrix), f"n={n}"
+
+    def test_certificates_close_without_bareiss(self, wildest_formal, monkeypatch):
+        calls = []
+        monkeypatch.setattr(blocks, "bareiss_rank", lambda m: calls.append(m) or bareiss_rank(m))
+        for n in range(5, 16):
+            rank_deficiency_report(wildest_formal, n, mode="symbolic", allow_large=True)
+        assert calls == []
+
+    def test_n13_deficiencies(self, wildest_formal):
+        report = rank_deficiency_report(wildest_formal, 13, mode="symbolic", allow_large=True)
+        assert sorted(e.deficiency for e in report.entries) == [0, 1, 1, 1]
+
+    def test_failed_certificate_falls_back_to_bareiss(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(blocks, "bareiss_rank", lambda m: calls.append(m) or bareiss_rank(m))
+        # At a1 = a2 the rank mod p is 1, but the Cramer vector (a2, -a1) of
+        # the first row misses the second: a2^2 - a1^2 != 0.
+        monkeypatch.setattr(blocks, "_evaluation_point", lambda variables: {f"a{k}": 7 for k in variables})
+        win = poly_window([["a1", "a2"], ["a2", "a1"]])
+        assert blocks._symbolic_deficiency(win) == 0
+        assert len(calls) == 1
+
+    def test_large_support_falls_back_to_bareiss(self, wildest_formal, monkeypatch):
+        calls = []
+        monkeypatch.setattr(blocks, "bareiss_rank", lambda m: calls.append(m) or bareiss_rank(m))
+        monkeypatch.setattr(blocks, "_MAX_SUPPORT", 1)
+        report = rank_deficiency_report(wildest_formal, 5, mode="symbolic")
+        assert sorted(e.deficiency for e in report.entries) == EXPECTED_DEFICIENCIES[5]
+        assert len(calls) == 2
 
     def test_mode_validation(self, wildest_formal):
         with pytest.raises(ValidationError):

@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import pytest
 
 import sl2tilings.search
@@ -138,7 +140,8 @@ class TestSearch:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(sl2tilings.search, "ProcessPoolExecutor", RecordingPool)
+        # search imports the pool class when it needs more than one worker.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         solo = search_fully_wild(SearchConfig(5, 2, 2))
         for cpus, pool_size in ((64, 5), (2, 2), (None, 1)):
             monkeypatch.setattr(sl2tilings.search.os, "cpu_count", lambda: cpus)
