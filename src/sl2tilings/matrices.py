@@ -163,44 +163,22 @@ def corner_det3(center: RingValue, corners: Iterable[RingValue]) -> RingValue:
     return (a + c + g + i) + (c * g - a * i) * center
 
 
-@dataclass(frozen=True)
-class CongruenceSolutions:
-    """Solution set of a linear congruence: base + step * k for 0 <= k < count."""
+def solve_linear_congruence(a: int, c: int, modulus: int) -> range:
+    """All x in [0, modulus) with a*x = c (mod modulus), ascending.
 
-    modulus: int
-    base: int
-    step: int
-    count: int
-
-    @staticmethod
-    def empty(modulus: int) -> "CongruenceSolutions":
-        return CongruenceSolutions(modulus, 0, modulus, 0)
-
-    def is_empty(self) -> bool:
-        return self.count == 0
-
-    def values(self) -> list[int]:
-        return [self.base + self.step * k for k in range(self.count)]
-
-    def __contains__(self, x: int) -> bool:
-        if self.count == 0:
-            return False
-        return (x - self.base) % self.step == 0 and 0 <= x < self.modulus
-
-
-def solve_linear_congruence(a: int, c: int, modulus: int) -> CongruenceSolutions:
-    """All x in [0, modulus) with a*x = c (mod modulus)."""
+    The solutions are base + step*k with step = modulus / gcd(a, modulus),
+    so they come as ``range(base, modulus, step)``; an unsolvable congruence
+    gives an empty range.
+    """
     if modulus < 2:
         raise ValidationError(f"modulus must be at least 2, got {modulus}")
     a %= modulus
     c %= modulus
     g = gcd(a, modulus)
     if c % g != 0:
-        return CongruenceSolutions.empty(modulus)
-    step = modulus // g
+        return range(0)
     if a == 0:
         # Every residue solves 0 = 0; g == modulus here.
-        return CongruenceSolutions(modulus, 0, 1, modulus)
-    inv = pow((a // g) % step, -1, step)
-    base = ((c // g) * inv) % step
-    return CongruenceSolutions(modulus, base, step, g)
+        return range(modulus)
+    step = modulus // g
+    return range((c // g) * pow(a // g, -1, step) % step, modulus, step)

@@ -4,11 +4,15 @@ A candidate h x w block is read as a doubly periodic tiling (indices wrapped
 mod h and mod w).  It is accepted when every wrapped 2x2 determinant is 1
 and every wrapped centered 3x3 determinant is nonzero.
 
-The DFS chooses row 0 and column 0 freely and derives each interior cell
-from the determinant constraint of the 2x2 window above-left of it, which is
-a linear congruence with gcd-many solutions.  Wrapped windows are checked as
-soon as their last cell is placed.  Solutions are canonicalized by torus
-translation and reported in lexicographic order.
+The DFS fills the block row-major.  It chooses row 0 and column 0 freely and
+derives each interior cell from the determinant constraint of the 2x2 window
+above-left of it, a linear congruence whose gcd-many solutions come as a
+``range``.  It runs as one flat loop over an explicit stack of candidate
+iterators, one per placed cell, so its depth is bounded by the block's
+cells, not by the interpreter's recursion limit.  Every candidate tried
+counts as a node; the wrapped windows are checked on plain ints as soon as
+their last cell is placed.  Solutions are canonicalized by torus translation
+and reported in lexicographic order.
 
 The exhaustive oracle for cross-checking shares no code with the DFS: it
 keeps the pairs of rows whose wrapped 2x2 windows all have determinant 1,
@@ -25,7 +29,7 @@ from itertools import product
 from math import gcd
 
 from .errors import UnsupportedOperationError, ValidationError
-from .matrices import CongruenceSolutions, det2, det3, solve_linear_congruence
+from .matrices import det2, det2_scan, det3_scan, solve_linear_congruence
 
 ORACLE_STATE_GUARD = 1 << 28
 
@@ -65,39 +69,21 @@ class SearchResult:
     stats: SearchStats
 
 
-def propagate_cell(nw: int, ne: int, sw: int, modulus: int) -> CongruenceSolutions:
+def propagate_cell(nw: int, ne: int, sw: int, modulus: int) -> range:
     """Admissible southeast cells x of a 2x2 window: nw*x = 1 + ne*sw."""
     return solve_linear_congruence(nw, 1 + ne * sw, modulus)
 
 
 def block_is_sl2(block: Block, modulus: int) -> bool:
     """Every wrapped 2x2 determinant equals 1."""
-    h = len(block)
-    w = len(block[0])
-    return all(
-        det2(
-            block[i][j], block[i][(j + 1) % w],
-            block[(i + 1) % h][j], block[(i + 1) % h][(j + 1) % w],
-        ) % modulus == 1
-        for i in range(h)
-        for j in range(w)
-    )
-
-
-def _wrapped_det3(block: Block, i: int, j: int, modulus: int) -> int:
-    h = len(block)
-    w = len(block[0])
-    rows = [[block[(i + di) % h][(j + dj) % w] for dj in (-1, 0, 1)] for di in (-1, 0, 1)]
-    return det3(rows) % modulus
+    frame = [[*row, row[0]] for row in (*block, block[0])]
+    return all(d % modulus == 1 for d in det2_scan(frame))
 
 
 def block_is_fully_wild(block: Block, modulus: int) -> bool:
     """Every wrapped centered 3x3 determinant is nonzero."""
-    h = len(block)
-    w = len(block[0])
-    return all(
-        _wrapped_det3(block, i, j, modulus) != 0 for i in range(h) for j in range(w)
-    )
+    frame = [[row[-1], *row, row[0]] for row in (block[-1], *block, block[0])]
+    return all(d % modulus for d in det3_scan(frame))
 
 
 def canonical_block(block: Block) -> Block:
@@ -120,73 +106,62 @@ def _nonunits(modulus: int) -> list[int]:
     return [x for x in range(modulus) if gcd(x, modulus) != 1]
 
 
-class _BudgetExhausted(Exception):
-    pass
+def _dfs(part) -> tuple[tuple[Block, ...], int, bool]:
+    """Fill the block row-major from an explicit stack of candidate iterators.
 
-
-class _Dfs:
-    def __init__(self, modulus, h, w, first_domain, free_domain, budget):
-        self.n = modulus
-        self.h = h
-        self.w = w
-        self.first_domain = first_domain
-        self.free_domain = free_domain
-        self.budget = budget
-        self.block = [[0] * w for _ in range(h)]
-        self.solutions: set[Block] = set()
-        self.nodes = 0
-        self.exhausted = False
-
-    def run(self):
-        try:
-            self._fill(0)
-        except _BudgetExhausted:
-            self.exhausted = True
-        return self
-
-    def _wraps_ok(self, i: int, j: int) -> bool:
-        n, b = self.n, self.block
-        h, w = self.h, self.w
-        if j == w - 1 and i >= 1:
-            if (b[i - 1][w - 1] * b[i][0] - b[i - 1][0] * b[i][w - 1]) % n != 1:
-                return False
-        if i == h - 1 and j >= 1:
-            if (b[h - 1][j - 1] * b[0][j] - b[h - 1][j] * b[0][j - 1]) % n != 1:
-                return False
-        if i == h - 1 and j == w - 1:
-            if (b[h - 1][w - 1] * b[0][0] - b[h - 1][0] * b[0][w - 1]) % n != 1:
-                return False
-        return True
-
-    def _fill(self, pos: int) -> None:
-        if pos == self.h * self.w:
-            block = tuple(tuple(row) for row in self.block)
-            if block_is_fully_wild(block, self.n):
-                self.solutions.add(canonical_block(block))
-            return
-        i, j = divmod(pos, self.w)
-        if i == 0 and j == 0:
-            candidates = self.first_domain
-        elif i == 0 or j == 0:
-            candidates = self.free_domain
+    The top iterator yields the candidates of the cell at (i, j).  The budget
+    is checked before each candidate, which then counts as a node and is
+    kept only if the wrapped windows it closes have determinant 1.  A kept
+    candidate on the last cell completes a block; elsewhere it pushes the
+    candidates of the next cell.  An exhausted iterator is popped to resume
+    the cell before it.  Returns the sorted canonical solutions, the node
+    count and whether the budget ran out.
+    """
+    n, h, w, first_domain, free_domain, budget = part
+    east, south = w - 1, h - 1
+    b = [[0] * w for _ in range(h)]
+    top = b[0]
+    solutions: set[Block] = set()
+    nodes = 0
+    i = j = 0
+    stack = [iter(first_domain)]
+    while stack:
+        row = b[i]
+        for x in stack[-1]:
+            if nodes == budget:
+                return tuple(sorted(solutions)), nodes, True
+            nodes += 1
+            row[j] = x
+            # The windows that wrap east (rows i-1, i), south (rows h-1, 0)
+            # and at the corner close on this cell.
+            if j == east and i and (b[i - 1][east] * row[0] - b[i - 1][0] * x) % n != 1:
+                continue
+            if i == south and j:
+                if (row[j - 1] * top[j] - x * top[j - 1]) % n != 1:
+                    continue
+                if j == east and (x * top[0] - row[0] * top[east]) % n != 1:
+                    continue
+            if j < east:
+                j += 1
+            elif i < south:
+                i, j = i + 1, 0
+            else:
+                block = tuple(map(tuple, b))
+                if block_is_fully_wild(block, n):
+                    solutions.add(canonical_block(block))
+                continue
+            if i and j:
+                stack.append(iter(propagate_cell(b[i - 1][j - 1], b[i - 1][j], b[i][j - 1], n)))
+            else:
+                stack.append(iter(free_domain))
+            break
         else:
-            b = self.block
-            candidates = propagate_cell(
-                b[i - 1][j - 1], b[i - 1][j], b[i][j - 1], self.n
-            ).values()
-        for x in candidates:
-            if self.budget is not None and self.nodes >= self.budget:
-                raise _BudgetExhausted
-            self.nodes += 1
-            self.block[i][j] = x
-            if self._wraps_ok(i, j):
-                self._fill(pos + 1)
-
-
-def _search_partition(args) -> tuple[tuple[Block, ...], int, bool]:
-    modulus, h, w, first_domain, free_domain, budget = args
-    dfs = _Dfs(modulus, h, w, first_domain, free_domain, budget).run()
-    return tuple(sorted(dfs.solutions)), dfs.nodes, dfs.exhausted
+            stack.pop()
+            if j:
+                j -= 1
+            else:
+                i, j = i - 1, east
+    return tuple(sorted(solutions)), nodes, False
 
 
 def search_fully_wild(config: SearchConfig) -> SearchResult:
@@ -202,14 +177,14 @@ def search_fully_wild(config: SearchConfig) -> SearchResult:
         for k in range(workers)
     ]
     if workers == 1:
-        outcomes = [_search_partition(parts[0])]
+        outcomes = [_dfs(parts[0])]
     else:
         # Imported here: a single-worker search, and every other command,
         # skips its start-up cost.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
-            outcomes = list(pool.map(_search_partition, parts))
+            outcomes = list(pool.map(_dfs, parts))
     merged: set[Block] = set()
     nodes = 0
     exhausted = False

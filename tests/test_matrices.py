@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from sl2tilings import (
     INTEGERS,
     POLYNOMIALS,
-    CongruenceSolutions,
     Matrix,
     ModularRing,
     bareiss_rank,
@@ -207,28 +206,24 @@ class TestCornerDet3:
 
 class TestCongruence:
     def test_known_solutions(self):
-        assert list(solve_linear_congruence(2, 2, 4).values()) == [1, 3]
-        assert list(solve_linear_congruence(3, 1, 7).values()) == [5]
-        assert list(solve_linear_congruence(6, 3, 9).values()) == [2, 5, 8]
-        assert solve_linear_congruence(4, 2, 8).is_empty()
-        assert list(solve_linear_congruence(0, 0, 5).values()) == [0, 1, 2, 3, 4]
-        assert solve_linear_congruence(0, 3, 5).is_empty()
+        assert list(solve_linear_congruence(2, 2, 4)) == [1, 3]
+        assert list(solve_linear_congruence(3, 1, 7)) == [5]
+        assert list(solve_linear_congruence(6, 3, 9)) == [2, 5, 8]
+        assert not solve_linear_congruence(4, 2, 8)
+        assert list(solve_linear_congruence(0, 0, 5)) == [0, 1, 2, 3, 4]
+        assert not solve_linear_congruence(0, 3, 5)
 
     def test_count_is_gcd_when_solvable(self):
         import math
         sols = solve_linear_congruence(6, 3, 9)
-        assert sols.count == math.gcd(6, 9)
+        assert len(sols) == math.gcd(6, 9)
 
     def test_membership(self):
         sols = solve_linear_congruence(2, 2, 4)
         assert 1 in sols and 3 in sols and 0 not in sols
 
-    def test_empty_constructor(self):
-        assert CongruenceSolutions.empty(7).is_empty()
-        assert list(CongruenceSolutions.empty(7).values()) == []
-
     @given(st.integers(2, 40), st.integers(-80, 80), st.integers(-80, 80))
     def test_matches_brute_force(self, n, a, c):
         want = [x for x in range(n) if (a * x - c) % n == 0]
-        got = list(solve_linear_congruence(a, c, n).values())
+        got = list(solve_linear_congruence(a, c, n))
         assert got == want

@@ -1,8 +1,11 @@
 import concurrent.futures
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import sl2tilings.search
+from sl2tilings.cli import main
 from sl2tilings.matrices import det2
 from sl2tilings import (
     SearchConfig,
@@ -24,19 +27,72 @@ Z36_BLOCK = (
     (14, 9, 4, 3),
 )
 
+# Blocks whose wrapped 2x2 windows all have determinant 1, with their moduli;
+# the 2-row and 2-column ones exist only mod 2.
+SL2_BLOCKS = [
+    (((0, 1), (1, 1)), 2),
+    (((0, 1, 1), (1, 0, 1)), 2),
+    (((0, 1), (1, 0), (1, 1)), 2),
+    (((0, 1, 2), (2, 2, 2), (1, 0, 2)), 3),
+    (((0, 1, 1, 2, 3), (3, 1, 2, 1, 0), (1, 2, 1, 1, 1)), 4),
+    (Z36_BLOCK, 36),
+]
+
+
+def _sarrus(r):
+    (a, b, c), (d, e, f), (g, h, i) = r
+    return a * e * i + b * f * g + c * d * h - c * e * g - a * f * h - b * d * i
+
+
+def _wrapped_reference(block, modulus):
+    """(every wrapped det2 is 1, every wrapped centered det3 is nonzero),
+    reading each window cell by cell with indices taken mod the shape."""
+    h, w = len(block), len(block[0])
+
+    def at(i, j):
+        return block[i % h][j % w]
+
+    cells = [(i, j) for i in range(h) for j in range(w)]
+    sl2 = all((at(i, j) * at(i + 1, j + 1) - at(i, j + 1) * at(i + 1, j)) % modulus == 1 for i, j in cells)
+    wild = all(
+        _sarrus([[at(i + di, j + dj) for dj in (-1, 0, 1)] for di in (-1, 0, 1)]) % modulus != 0
+        for i, j in cells
+    )
+    return sl2, wild
+
+
+@st.composite
+def wrapped_cases(draw):
+    """A random block of shape 2..5 x 2..5, or a torus translate of an SL2
+    block, lifted by a multiple of its modulus and maybe moved in one cell."""
+    if draw(st.booleans()):
+        modulus = draw(st.integers(2, 60))
+        h, w = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+        row = st.lists(st.integers(-100, 100), min_size=w, max_size=w)
+        rows = draw(st.lists(row, min_size=h, max_size=h))
+    else:
+        seed, modulus = draw(st.sampled_from(SL2_BLOCKS))
+        h, w = len(seed), len(seed[0])
+        di, dj = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+        lift = draw(st.integers(-2, 2)) * modulus
+        rows = [[seed[(i + di) % h][(j + dj) % w] + lift for j in range(w)] for i in range(h)]
+        if draw(st.booleans()):
+            rows[draw(st.integers(0, h - 1))][draw(st.integers(0, w - 1))] += draw(st.integers(1, modulus - 1))
+    return tuple(map(tuple, rows)), modulus
+
 
 class TestPropagate:
     def test_gcd_fan_out(self):
-        assert list(propagate_cell(3, 2, 4, 36).values()) == [3, 15, 27]
+        assert list(propagate_cell(3, 2, 4, 36)) == [3, 15, 27]
 
     def test_unique(self):
-        assert list(propagate_cell(1, 0, 0, 5).values()) == [1]
+        assert list(propagate_cell(1, 0, 0, 5)) == [1]
 
     def test_two_solutions(self):
-        assert list(propagate_cell(2, 1, 1, 4).values()) == [1, 3]
+        assert list(propagate_cell(2, 1, 1, 4)) == [1, 3]
 
     def test_empty(self):
-        assert propagate_cell(2, 1, 2, 4).is_empty()
+        assert not propagate_cell(2, 1, 2, 4)
 
     def test_agrees_with_brute_force(self):
         for n in (4, 6, 9):
@@ -44,7 +100,7 @@ class TestPropagate:
                 for ne in range(n):
                     for sw in range(n):
                         want = [x for x in range(n) if (nw * x - 1 - ne * sw) % n == 0]
-                        assert list(propagate_cell(nw, ne, sw, n).values()) == want
+                        assert list(propagate_cell(nw, ne, sw, n)) == want
 
 
 class TestValidators:
@@ -61,6 +117,16 @@ class TestValidators:
         rows[0][0] = 4
         bad = tuple(tuple(r) for r in rows)
         assert not block_is_sl2(bad, 36)
+
+    def test_sl2_blocks(self):
+        for block, modulus in SL2_BLOCKS:
+            assert block_is_sl2(block, modulus) and _wrapped_reference(block, modulus)[0]
+
+    @given(wrapped_cases())
+    def test_predicates_match_sarrus(self, case):
+        block, modulus = case
+        got = (block_is_sl2(block, modulus), block_is_fully_wild(block, modulus))
+        assert got == _wrapped_reference(block, modulus)
 
     def test_canonical_translation_invariance(self):
         shifted = tuple(
@@ -166,6 +232,37 @@ class TestSearch:
         plain = search_fully_wild(SearchConfig(6, 2, 2))
         pruned = search_fully_wild(SearchConfig(6, 2, 2, prune_nonunits=True))
         assert 0 < pruned.stats.nodes <= plain.stats.nodes
+
+
+class TestTraversal:
+    # Node counts of the row-major DFS; any change to the fill order, the
+    # candidate order or the place of the budget check moves them.
+    @pytest.mark.parametrize(
+        "config, nodes, exhausted",
+        [
+            (SearchConfig(4, 4, 4), 54_516, False),
+            (SearchConfig(4, 4, 4, node_budget=54_515), 54_515, True),
+            (SearchConfig(4, 4, 4, node_budget=54_516), 54_516, False),
+            (SearchConfig(6, 3, 3), 5_298, False),
+            (SearchConfig(6, 3, 3, prune_nonunits=True), 404, False),
+            (SearchConfig(2, 5, 6), 21_054, False),
+            (SearchConfig(36, 4, 4, node_budget=20_000), 20_000, True),
+            (SearchConfig(5, 4, 4, node_budget=1_000, worker_count=2), 1_000, True),
+        ],
+    )
+    def test_node_counts(self, config, nodes, exhausted):
+        stats = search_fully_wild(config).stats
+        assert (stats.nodes, stats.budget_exhausted) == (nodes, exhausted)
+
+    def test_cli_summary(self, capsys):
+        assert main(["search", "--modulus", "4"]) == 0
+        assert capsys.readouterr().out.endswith("# solutions=0 nodes=54516 budget_exhausted=false\n")
+
+    def test_deep_block_needs_no_recursion(self, capsys):
+        # 2400 cells, deeper than the interpreter's recursion limit; the
+        # budget bounds the work.
+        assert main(["search", "--modulus", "2", "--rows", "2", "--cols", "1200", "--budget", "5000"]) == 0
+        assert capsys.readouterr() == ("# solutions=0 nodes=5000 budget_exhausted=true\n", "")
 
 
 class TestOracle:
