@@ -10,7 +10,10 @@ flip.  Parameters are never negated: they stand for arbitrary nonzero values.
 
 Canonical encodings serialize a block row-major with tokens 0 / + / - / pK,
 renaming parameters in first-occurrence order, and take the minimum over the
-64 transforms.
+64 transforms.  Renaming does not depend on signs, so each of the 8 dihedral
+images is serialized once, with every +-1 written as one of 8 marks for its
+sign and the parities of its row and column; each sign change is then one
+``str.translate`` table from marks to + and -.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from itertools import combinations
 from .errors import StructuralError, UnsupportedOperationError, ValidationError
 from .matrices import Matrix, bareiss_rank
 from .rings import INTEGERS, RingSpec, RingValue, poly_eval
-from .tiling import Patched, TilingModel, Window, extract_window
+from .tiling import Patched, TilingModel, Window, _torus_basis, extract_window
 
 MAX_CLASS_DIM = 12
 MAX_SYMBOLIC_DIM = 9
@@ -35,60 +38,46 @@ _P = (1 << 61) - 1
 _POINT_SEED = "sl2tilings certified rank"
 _MAX_SUPPORT = 12
 
-_ZERO = "0"
-_PLUS = "+"
-_MINUS = "-"
+_TOKENS = {0: "0", 1: "+", -1: "-"}
+# A +-1 entry serializes as the mark 4*[it is -1] + 2*(r % 2) + (c % 2); each
+# sign change (-1)^(alpha*r + beta*c + gamma) is a table from marks to signs.
+_MARKS = "ABCDEFGH"
+_SIGN_CHANGES = tuple(
+    str.maketrans(_MARKS, "".join(
+        "+-"[(neg + alpha * r + beta * c + gamma) % 2]
+        for neg in (0, 1) for r in (0, 1) for c in (0, 1)))
+    for alpha in (0, 1) for beta in (0, 1) for gamma in (0, 1)
+)
 
 
-def _cell_token(v: RingValue) -> object:
+def _cell_token(v: RingValue) -> int | str:
+    """The parameter's index, or 0 / + / - for a constant entry."""
     var = v.single_variable()
-    if var is not None:
-        return ("p", var)
-    c = v.constant_value()
-    if c == 0:
-        return _ZERO
-    if c == 1:
-        return _PLUS
-    if c == -1:
-        return _MINUS
-    raise StructuralError(f"entry {v} is outside the 0 / +1 / -1 / parameter alphabet")
+    tok = var if var is not None else _TOKENS.get(v.constant_value())
+    if tok is None:
+        raise StructuralError(f"entry {v} is outside the 0 / +1 / -1 / parameter alphabet")
+    return tok
 
 
-def _dihedral_images(grid: list[list[object]]) -> list[list[list[object]]]:
-    n = len(grid)
-    idx = range(n)
-
-    def build(f):
-        return [[grid[f(r, c)[0]][f(r, c)[1]] for c in idx] for r in idx]
-
-    return [
-        build(lambda r, c: (r, c)),
-        build(lambda r, c: (n - 1 - c, r)),
-        build(lambda r, c: (n - 1 - r, n - 1 - c)),
-        build(lambda r, c: (c, n - 1 - r)),
-        build(lambda r, c: (c, r)),
-        build(lambda r, c: (n - 1 - c, n - 1 - r)),
-        build(lambda r, c: (r, n - 1 - c)),
-        build(lambda r, c: (n - 1 - r, c)),
-    ]
+def _images(grid: list[list[int | str]]):
+    """The 8 dihedral images: each of the 4 rotations and its transpose."""
+    for _ in range(4):
+        grid = list(zip(*grid[::-1]))
+        yield grid
+        yield list(zip(*grid))
 
 
-def _serialize(grid: list[list[object]], alpha: int, beta: int, gamma: int) -> str:
+def _serialize(grid: list[list[int | str]]) -> str:
     rename: dict[int, int] = {}
     out = []
     for r, row in enumerate(grid):
         for c, tok in enumerate(row):
-            if isinstance(tok, tuple):
-                var = tok[1]
-                if var not in rename:
-                    rename[var] = len(rename) + 1
-                out.append(f"p{rename[var]}")
-            elif tok is _ZERO:
-                out.append(_ZERO)
-            elif (alpha * r + beta * c + gamma) % 2:
-                out.append(_MINUS if tok is _PLUS else _PLUS)
-            else:
+            if isinstance(tok, int):
+                out.append(f"p{rename.setdefault(tok, len(rename) + 1)}")
+            elif tok == "0":
                 out.append(tok)
+            else:
+                out.append(_MARKS[4 * (tok == "-") + 2 * (r % 2) + c % 2])
     return " ".join(out)
 
 
@@ -97,23 +86,16 @@ def canonical_block_form(win: Window) -> str:
     if win.rows != win.cols:
         raise StructuralError(f"block must be square, got {win.rows}x{win.cols}")
     grid = [[_cell_token(win.at(r, c)) for c in range(win.cols)] for r in range(win.rows)]
-    best = None
-    for image in _dihedral_images(grid):
-        for alpha in (0, 1):
-            for beta in (0, 1):
-                for gamma in (0, 1):
-                    s = _serialize(image, alpha, beta, gamma)
-                    if best is None or s < best:
-                        best = s
-    return best
+    return min(s.translate(table) for s in map(_serialize, _images(grid)) for table in _SIGN_CHANGES)
 
 
 @dataclass(frozen=True)
 class BlockClass:
     """An equivalence class of n x n blocks.
 
-    ``orbit_size`` counts how many of the m corner translates fall in the
-    class, so orbit sizes over all classes sum to m.
+    ``orbit_size`` counts how many of the p*q torus windows of
+    ``enumerate_block_classes`` fall in the class, so orbit sizes over all
+    classes sum to p*q.
     """
 
     encoding: str
@@ -124,10 +106,12 @@ class BlockClass:
 def enumerate_block_classes(t: TilingModel, n: int) -> tuple[BlockClass, ...]:
     """Classes of all n x n blocks, sorted by encoding.
 
-    The corner windows at (0, k) for k = 0..m-1 exhaust every block up to
-    translation: translating by (1, -3) preserves the pattern exactly and
-    translating by (0, m) composes it with a background sign flip, both of
-    which the encoding quotients out.
+    The windows at (i, j) for i < p and j < q, with (p, c) and (0, q) the
+    Hermite basis of the wild torus (``tiling._torus_basis``), exhaust every
+    block up to translation.  A translation of that lattice maps the parameter
+    lattice onto itself, which relabels the parameters, and keeps or negates
+    the whole background; the encoding quotients out both.  Windows are taken
+    row by row, and each class keeps the first as its representative.
     """
     if not 1 <= n <= MAX_CLASS_DIM:
         raise ValidationError(f"block size must be in 1..{MAX_CLASS_DIM}, got {n}")
@@ -139,15 +123,14 @@ def _corner_classes(t: TilingModel, n: int) -> tuple[BlockClass, ...]:
         raise StructuralError("block classes are defined for formal patched tilings")
     if n < 1:
         raise ValidationError(f"block size must be positive, got {n}")
+    p, q, _ = _torus_basis(t)
     by_encoding: dict[str, tuple[Window, int]] = {}
-    for k in range(t.lattice.m):
-        win = extract_window(t, 0, k, n, n)
-        enc = canonical_block_form(win)
-        if enc in by_encoding:
-            rep, count = by_encoding[enc]
+    for i in range(p):
+        for j in range(q):
+            win = extract_window(t, i, j, n, n)
+            enc = canonical_block_form(win)
+            rep, count = by_encoding.get(enc, (win, 0))
             by_encoding[enc] = (rep, count + 1)
-        else:
-            by_encoding[enc] = (win, 1)
     classes = [
         BlockClass(enc, rep, count) for enc, (rep, count) in by_encoding.items()
     ]

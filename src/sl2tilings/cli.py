@@ -104,7 +104,7 @@ def _print_json(payload: dict) -> None:
 def _parse_param_list(text: str) -> tuple[dict[int, int], int]:
     """--params entries `k=v` keyed by parameter index, plus `default=v`."""
     explicit: dict[int, int] = {}
-    default = 1
+    default = None
     for item in text.split(","):
         item = item.strip()
         if not item:
@@ -117,14 +117,18 @@ def _parse_param_list(text: str) -> tuple[dict[int, int], int]:
         except ValueError:
             raise ValidationError(f"bad parameter value {raw!r}") from None
         if key == "default":
+            if default is not None:
+                raise ValidationError("duplicate default parameter value")
             default = value
         else:
             try:
                 index = int(key)
             except ValueError:
                 raise ValidationError(f"bad parameter index {key!r}") from None
+            if index in explicit:
+                raise ValidationError(f"duplicate parameter index {key!r}")
             explicit[index] = value
-    return explicit, default
+    return explicit, 1 if default is None else default
 
 
 def _cmd_generate(args) -> int:

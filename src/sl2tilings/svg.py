@@ -88,7 +88,7 @@ def render_svg(
                 raise UnverifiedModelError(fault)
         h, w = obj.rows, obj.cols
         colors = window_colors(obj)
-        labels = [[str(obj.at(r, c)) for c in range(w)] for r in range(h)]
+        entry, i0, j0 = obj.at, 0, 0
     else:
         if not force:
             fault = verify_sl2(obj)
@@ -96,10 +96,8 @@ def render_svg(
                 raise UnverifiedModelError(fault)
         i0, j0, h, w = region if region is not None else default_region(obj)
         report = wildness_report(obj, i0, j0, h, w)
-        colors = [list(row) for row in report.colors]
-        labels = [
-            [str(obj.entry(i0 + r, j0 + c)) for c in range(w)] for r in range(h)
-        ]
+        colors = report.colors
+        entry = obj.entry
     size = opts.cell_size
     width = w * size
     height = h * size
@@ -121,7 +119,7 @@ def render_svg(
                     f'<text x="{c * size + size // 2}" y="{r * size + size // 2}" '
                     f'font-family="monospace" font-size="{font}" fill="{text_fill}" '
                     f'text-anchor="middle" dominant-baseline="central">'
-                    f"{_escape(labels[r][c])}</text>"
+                    f"{_escape(str(entry(i0 + r, j0 + c)))}</text>"
                 )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -452,10 +452,10 @@ class DensitySample:
         return Fraction(self.wild, self.total) if self.total else Fraction(0)
 
 
-def _wild_torus(t: TilingModel) -> tuple[tuple[tuple[bool, ...], ...], int]:
-    """(rows, c) with wild(i, j) = rows[i mod p][(j - c*(i // p)) mod q], where
-    (p, c) and (0, q) are the Hermite basis of translations that keep wildness:
-    (1, 1) and (0, 4) for a rule model, (h, 0) and (0, w) for a periodic block.
+def _torus_basis(t: TilingModel) -> tuple[int, int, int]:
+    """(p, q, c) for the Hermite basis (p, c) and (0, q) of translations that
+    keep wildness: (1, 1) and (0, 4) for a rule model, (h, 0) and (0, w) for a
+    periodic block.
 
     A patched model has L = {(a, b) : u*a + v*b = 0 (mod m), a = b (mod k)},
     of index at most k*m.  With k = 2, a translation in L maps the lattice onto
@@ -463,8 +463,7 @@ def _wild_torus(t: TilingModel) -> tuple[tuple[tuple[bool, ...], ...], int]:
     background with table[n + 2] = -table[n], as every SL2 rule has.  The
     parameters sit on its zeros, all of one parity of i + j, so the sign
     +-(-1)^(i+j) that is +1 there undoes the flip and changes each det2 and
-    det3 by a sign at most.  Other backgrounds take k = 4.  Explicit numeric
-    values are left out: they can cancel in a det3, the default cannot.
+    det3 by a sign at most.  Other backgrounds take k = 4.
     """
     if isinstance(t, RuleBased):
         p, q, c = 1, 4, 1
@@ -476,8 +475,16 @@ def _wild_torus(t: TilingModel) -> tuple[tuple[tuple[bool, ...], ...], int]:
         q = lcm(m // gcd(v, m), k)
         p, c = next((a, b) for a in count(1) for b in range(q)
                     if (u * a + v * b) % m == 0 and (a - b) % k == 0)
-        if not t.is_formal():
-            t = replace(t, parameters=NumericParameters((), t.parameters.default))
+    return p, q, c
+
+
+def _wild_torus(t: TilingModel) -> tuple[tuple[tuple[bool, ...], ...], int]:
+    """(rows, c) with wild(i, j) = rows[i mod p][(j - c*(i // p)) mod q] on the
+    basis of _torus_basis.  Explicit numeric values are left out: they can
+    cancel in a det3, the default cannot."""
+    p, q, c = _torus_basis(t)
+    if isinstance(t, Patched) and not t.is_formal():
+        t = replace(t, parameters=NumericParameters((), t.parameters.default))
     return wildness_report(t, 0, 0, p, q).wild, c
 
 

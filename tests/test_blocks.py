@@ -1,4 +1,8 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sl2tilings import blocks
 from sl2tilings import (
@@ -13,6 +17,7 @@ from sl2tilings import (
     canonical_block_form,
     enumerate_block_classes,
     extract_window,
+    parse_grid,
     rank_deficiency_report,
     unit_tiling,
 )
@@ -28,6 +33,58 @@ EXPECTED_DEFICIENCIES = {
     8: [0, 0, 0],
     9: [0, 0, 0, 0],
 }
+
+
+# The n = 5 classes with their orbit sizes, as printed by `sl2 classes --n 5`.
+N5_CLASSES = [
+    ("+ 0 - 0 + 0 + 0 - 0 - 0 + p1 - p2 - 0 + 0 + 0 - 0 +", 4),
+    ("+ 0 - p1 + p2 + 0 - 0 - 0 + 0 - 0 - 0 + p3 + p4 - 0 +", 1),
+    ("0 + 0 - 0 + 0 - 0 + 0 - p1 + 0 - 0 + 0 - 0 + 0 - 0", 1),
+    ("0 + 0 - 0 + 0 - p1 + p2 - 0 + 0 - 0 + 0 - 0 + 0 - p3", 4),
+]
+
+# Formal patched lattices (u, v, m, t) on the 0 1 0 -1 background, with p*q,
+# the index of the translations that keep wildness.  On the first two, where
+# (1, -3) does not keep the lattice (u != 3v mod m), the m windows at (0, k)
+# miss classes.
+TORUS_INDEX = {(1, 3, 6, 0): 6, (5, 3, 6, 2): 6, (2, 2, 4, 0): 2, (1, 1, 4, 0): 4, (3, 1, 10, 6): 10}
+
+
+def formal_patched(u, v, m, t):
+    return parse_grid(f"sl2tiling v1\nring: Z[a]\nkind: patched\nrows: 1\ncols: 4\n"
+                      f"lattice: {u} {v} {m} {t}\nparams: formal\n\n0 1 0 -1\n")
+
+
+def reference_form(win):
+    """Canonical form by the 64-transform definition: every dihedral image
+    serialized under every alternating sign change."""
+    n = win.rows
+    grid = [[win.at(r, c) for c in range(n)] for r in range(n)]
+    maps = [lambda r, c: (r, c), lambda r, c: (n - 1 - c, r),
+            lambda r, c: (n - 1 - r, n - 1 - c), lambda r, c: (c, n - 1 - r),
+            lambda r, c: (c, r), lambda r, c: (n - 1 - c, n - 1 - r),
+            lambda r, c: (r, n - 1 - c), lambda r, c: (n - 1 - r, c)]
+    forms = []
+    for f in maps:
+        image = [[grid[f(r, c)[0]][f(r, c)[1]] for c in range(n)] for r in range(n)]
+        for alpha, beta, gamma in itertools.product((0, 1), repeat=3):
+            rename, out = {}, []
+            for r, row in enumerate(image):
+                for c, v in enumerate(row):
+                    var = v.single_variable()
+                    if var is not None:
+                        rename.setdefault(var, len(rename) + 1)
+                        out.append(f"p{rename[var]}")
+                    elif v.constant_value() == 0:
+                        out.append("0")
+                    else:
+                        flip = (alpha * r + beta * c + gamma) % 2
+                        out.append("+" if (v.constant_value() == 1) != flip else "-")
+            forms.append(" ".join(out))
+    return min(forms)
+
+
+TOKENS = st.sampled_from([0, 1, -1, "a1", "a2", "a3", "a4", "a40"])
 
 
 def poly_window(rows):
@@ -99,6 +156,26 @@ class TestCanonicalForm:
         with pytest.raises(StructuralError):
             canonical_block_form(win)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6).flatmap(
+        lambda n: st.lists(st.lists(TOKENS, min_size=n, max_size=n), min_size=n, max_size=n)))
+    def test_matches_reference_on_token_grids(self, rows):
+        win = poly_window(rows)
+        assert canonical_block_form(win) == reference_form(win)
+
+    def test_matches_reference_on_corner_windows(self, wildest_formal):
+        for n in range(1, 17):
+            for k in range(10):
+                win = extract_window(wildest_formal, 0, k, n, n)
+                assert canonical_block_form(win) == reference_form(win), (n, k)
+
+    def test_one_serialization_per_dihedral_image(self, wildest_formal, monkeypatch):
+        calls = []
+        serialize = blocks._serialize
+        monkeypatch.setattr(blocks, "_serialize", lambda grid: calls.append(grid) or serialize(grid))
+        canonical_block_form(extract_window(wildest_formal, 0, 3, 5, 5))
+        assert len(calls) == 8
+
 
 class TestEnumeration:
     def test_class_counts(self, wildest_formal):
@@ -108,6 +185,21 @@ class TestEnumeration:
             assert sum(c.orbit_size for c in classes) == 10
             encodings = [c.encoding for c in classes]
             assert encodings == sorted(encodings)
+
+    def test_n5_encodings(self, wildest_formal):
+        classes = enumerate_block_classes(wildest_formal, 5)
+        assert [(c.encoding, c.orbit_size) for c in classes] == N5_CLASSES
+
+    @pytest.mark.parametrize("lattice", sorted(TORUS_INDEX), ids=lambda lattice: "-".join(map(str, lattice)))
+    def test_complete_on_every_lattice(self, lattice):
+        t = formal_patched(*lattice)
+        m = t.lattice.m
+        for n in range(1, 4):
+            classes = enumerate_block_classes(t, n)
+            every = {canonical_block_form(extract_window(t, i, j, n, n))
+                     for i in range(-2 * m, 2 * m) for j in range(-2 * m, 2 * m)}
+            assert {c.encoding for c in classes} == every, n
+            assert sum(c.orbit_size for c in classes) == TORUS_INDEX[lattice]
 
     def test_representatives_match_encoding(self, wildest_formal):
         for c in enumerate_block_classes(wildest_formal, 4):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -18,6 +19,22 @@ FAILING_WINDOW = ("sl2tiling v1\nring: Z\nkind: window\nrows: 3\ncols: 5\norigin
                   "0 1 1 2 2\n-1 2 0 2 2\n0 1 1 -1 2\n")
 EVERY_ZERO_PATCHED = ("sl2tiling v1\nring: Z[a]\nkind: patched\nrows: 1\ncols: 4\n"
                       "lattice: 2 2 4 0\nparams: formal\n\n0 1 0 -1\n")
+
+# SHA-256 of `sl2 classes formal.grid --n K --json` stdout for K = 1..12.
+CLASSES_JSON_SHA256 = [
+    "b7f58fd93f276243579b6c405d00283031acce9ba5c3c8f194498f94536124fa",
+    "2c4e9178b7093a9d120cde4c54e6371ca5fc9a5f97cab014d1e188aff6e6a39d",
+    "0132ae38dab0e68dc85263b84f4129bac0ec804dfd69c9bc1aa50056fad4f44e",
+    "4bbe8d20ab8ad93e81a9ee2b0a59237fa3338e1f555ebdd6d36e9a27c4530c16",
+    "908251ccda54a06cc546e910be5893612acfcf2abbec4dd1bfd20482624842a3",
+    "e6b435ee6800d84f71bf63792dcd37d0a6eab88fd807acd27464aa89638101a2",
+    "8c983dd64e35e4ee6dc985beef53be12c5a25bd79db16dafb2721c18dd082849",
+    "696627110febe6ef06ebea4cde8a46410e7094fe79d01502923c3258a841175a",
+    "acbb3c010c5df0d7965bc24b58c0fc13fbbe6f62abe4b59bbdb2b5762fa81282",
+    "278a986e29e86a15101759d517e132b253f7b7dfb0daa3b65dbc8057ef728af1",
+    "dbac15222ffc9461047d47972b75002ab304927a216cc2de1cf0ddfecbec056e",
+    "92289533af44921a80529efe8757dc41fa8ebd60f08e28d471073401789b5548",
+]
 
 
 def run_cli(*argv, capsys=None):
@@ -85,6 +102,12 @@ class TestGenerate:
             "--out", str(path), capsys=capsys)
         assert code == 0
         assert "params: default=2,-20000:50006=5" in path.read_text()
+
+    @pytest.mark.parametrize("params", ["1=5,1=7,default=2", "1=5,default=2,default=3"])
+    def test_duplicate_params_refused(self, params, capsys):
+        code, out, err = run_cli("generate", "wildest", "--params", params, capsys=capsys)
+        assert (code, out) == (2, "")
+        assert "duplicate" in err
 
     def test_formal_and_params_conflict(self, capsys):
         code, _, err = run_cli(
@@ -213,6 +236,14 @@ class TestClassesAndRank:
         assert payload["stats"] == {"n": 4, "count": 3}
         assert all(c["deficiency"] is None for c in payload["classes"])
         assert sum(c["orbit_size"] for c in payload["classes"]) == 10
+
+    def test_classes_json_bytes(self, files, capsys):
+        digests = []
+        for n in range(1, 13):
+            code, out, _ = run_cli("classes", files["formal"], "--n", str(n), "--json", capsys=capsys)
+            assert code == 0
+            digests.append(hashlib.sha256(out.encode()).hexdigest())
+        assert digests == CLASSES_JSON_SHA256
 
     def test_classes_requires_formal(self, files, capsys):
         code, _, err = run_cli("classes", files["z36"], "--n", "3", capsys=capsys)

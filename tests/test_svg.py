@@ -7,10 +7,12 @@ from sl2tilings import (
     Matrix,
     PeriodicBlock,
     RenderOptions,
+    RingValue,
     UnverifiedModelError,
     ValidationError,
     Window,
     default_region,
+    extract_window,
     render_svg,
     z36_tiling,
 )
@@ -72,6 +74,17 @@ class TestRendering:
                          options=RenderOptions(labels=True))
         assert rect_count(svg, YELLOW) == 10
         assert ">a1<" in svg
+
+    def test_labels_built_only_when_drawn(self, wildest_formal, monkeypatch):
+        def refuse(value):
+            raise AssertionError("label text built")
+
+        monkeypatch.setattr(RingValue, "__str__", refuse)
+        win = extract_window(wildest_formal, 0, 0, 6, 6)
+        for obj in (wildest_formal, win):
+            assert render_svg(obj, region=(0, 0, 10, 10)).endswith("</svg>\n")
+            with pytest.raises(AssertionError, match="label text built"):
+                render_svg(obj, region=(0, 0, 10, 10), options=RenderOptions(labels=True))
 
     def test_cell_size_validation(self):
         with pytest.raises(ValidationError):
