@@ -14,31 +14,29 @@ renaming parameters in first-occurrence order, and take the minimum over the
 images is serialized once, with every +-1 written as one of 8 marks for its
 sign and the parities of its row and column; each sign change is then one
 ``str.translate`` table from marks to + and -.
+
+The same tokens give the symbolic rank: a block is a mixed matrix, whose
+rank over Q(a) is the size of a matroid union (``_symbolic_deficiency``).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from fractions import Fraction
 
-from .errors import StructuralError, UnsupportedOperationError, ValidationError
+from .errors import StructuralError, ValidationError
 from .matrices import Matrix, bareiss_rank
-from .rings import INTEGERS, RingSpec, RingValue, poly_eval
+from .rings import INTEGERS, RingValue, poly_eval
 from .tiling import Patched, TilingModel, Window, _torus_basis, extract_window
 
-MAX_CLASS_DIM = 12
-MAX_SYMBOLIC_DIM = 9
+# The largest block side for classes and both rank modes.  Probe rank at
+# n = 48 takes a few seconds; it grows about as n^3.
+MAX_BLOCK_DIM = 48
 _PROBE_TRIALS = 5
-# Probe rank at n = 48 takes a few seconds; it grows about as n^3.
-_MAX_PROBE_DIM = 48
-# Certified rank: the prime of the modular lower bound, the seed of its
-# evaluation point, and the largest kernel support expanded into minors.
-_P = (1 << 61) - 1
-_POINT_SEED = "sl2tilings certified rank"
-_MAX_SUPPORT = 12
 
 _TOKENS = {0: "0", 1: "+", -1: "-"}
+_SIGNS = {"+": 1, "-": -1}
 # A +-1 entry serializes as the mark 4*[it is -1] + 2*(r % 2) + (c % 2); each
 # sign change (-1)^(alpha*r + beta*c + gamma) is a table from marks to signs.
 _MARKS = "ABCDEFGH"
@@ -113,16 +111,18 @@ def enumerate_block_classes(t: TilingModel, n: int) -> tuple[BlockClass, ...]:
     the whole background; the encoding quotients out both.  Windows are taken
     row by row, and each class keeps the first as its representative.
     """
-    if not 1 <= n <= MAX_CLASS_DIM:
-        raise ValidationError(f"block size must be in 1..{MAX_CLASS_DIM}, got {n}")
+    _check_size(n)
     return _corner_classes(t, n)
+
+
+def _check_size(n: int, allow_large: bool = False) -> None:
+    if n < 1 or (n > MAX_BLOCK_DIM and not allow_large):
+        raise ValidationError(f"block size must be in 1..{MAX_BLOCK_DIM}, got {n}")
 
 
 def _corner_classes(t: TilingModel, n: int) -> tuple[BlockClass, ...]:
     if not isinstance(t, Patched) or not t.is_formal():
         raise StructuralError("block classes are defined for formal patched tilings")
-    if n < 1:
-        raise ValidationError(f"block size must be positive, got {n}")
     p, q, _ = _torus_basis(t)
     by_encoding: dict[str, tuple[Window, int]] = {}
     for i in range(p):
@@ -151,86 +151,85 @@ class RankReport:
     entries: tuple[RankEntry, ...]
 
 
-def _evaluation_point(variables: list[int]) -> dict[str, int]:
-    rng = random.Random(_POINT_SEED)
-    return {f"a{k}": rng.randrange(1, _P) for k in variables}
-
-
-def _rref_mod_p(rows: list[list[int]]) -> list[int]:
-    """Reduce rows (residues mod _P) to reduced row echelon form in place;
-    return the pivot columns, the first of each nonzero row."""
-    pivots: list[int] = []
-    for c in range(len(rows[0])):
-        r = len(pivots)
-        k = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if k is None:
-            continue
-        inv = pow(rows[k][c], -1, _P)
-        rows[r], rows[k] = rows[k], rows[r]
-        rows[r] = [x * inv % _P for x in rows[r]]
-        for i, row in enumerate(rows):
-            if i != r and row[c]:
-                f = row[c]
-                rows[i] = [(x - f * y) % _P for x, y in zip(row, rows[r])]
-        pivots.append(c)
-        if len(pivots) == len(rows):
-            break
-    return pivots
-
-
-def _cramer_vector(rows: list[list[RingValue]], spec: RingSpec) -> list[RingValue]:
-    """The kernel vector of an (s-1) x s matrix whose j-th entry is (-1)^j
-    times the minor without column j: each row's product with it is the
-    Laplace expansion of a determinant with a repeated row, hence 0."""
-    s = len(rows) + 1
-    # minors[cols]: determinant of the bottom len(cols) rows on columns cols.
-    minors = {(): spec.one()}
-    for size, row in enumerate(reversed(rows), 1):
-        grown = {}
-        for cols in combinations(range(s), size):
-            total = spec.zero()
-            for t, j in enumerate(cols):
-                sub = minors[cols[:t] + cols[t + 1:]]
-                if not (row[j].is_zero() or sub.is_zero()):
-                    total = total - row[j] * sub if t % 2 else total + row[j] * sub
-            grown[cols] = total
-        minors = grown
-    full = tuple(range(s))
-    vector = [minors[full[:j] + full[j + 1:]] for j in full]
-    return [-v if j % 2 else v for j, v in enumerate(vector)]
-
-
 def _symbolic_deficiency(win: Window) -> int:
-    """rows - rank over Q(a), certified by two bounds that meet.
+    """rows - rank over Q(a), exactly, as the rank of a mixed matrix.
 
-    The rank r of the entries evaluated at one point mod _P is a lower bound:
-    evaluation and reduction can only lower rank.  Each kernel basis vector
-    of that reduction has a support S of one free column and the pivot
-    columns it touches; s - 1 rows independent on S mod _P give an exact
-    vector over Z[a] by Cramer's rule, and M * v = 0 is checked exactly.
-    Vectors that evaluate to a kernel basis are independent, so the rank is
-    at most r.  Any failed check, or a support above _MAX_SUPPORT, falls
-    back to Bareiss elimination.
+    The block is A = Q + T with Q its 0 / +-1 entries and T its parameters.
+    No parameter repeats in a block, so the entries of T are algebraically
+    independent, and rank A = rank [[I, Q], [-D, T]] - rows for a diagonal D
+    of fresh variables (Murota and Iri).  That layered rank is the largest
+    union of a set independent in the linear matroid of [I | Q] and a disjoint
+    set independent in the transversal matroid of [-D | T].  Edmonds' matroid
+    partition finds it: the linear side starts as the identity basis, kept as
+    an exact ``Fraction`` tableau, and stays a basis; the transversal side
+    grows by one column per shortest exchange path, so its size is the rank.
     """
-    cells = [[win.at(r, c) for c in range(win.cols)] for r in range(win.rows)]
-    point = _evaluation_point(sorted({k for row in cells for v in row for k in v.variables()}))
-    values = [[poly_eval(v, point).payload % _P for v in row] for row in cells]
-    echelon = [row[:] for row in values]
-    pivots = _rref_mod_p(echelon)
-    spec = win.matrix.spec
-    for f in sorted(set(range(win.cols)) - set(pivots)):
-        support = sorted([f] + [c for k, c in enumerate(pivots) if echelon[k][f]])
-        if len(support) > _MAX_SUPPORT:
-            return win.rows - bareiss_rank(win.matrix)
-        chosen = _rref_mod_p([[row[j] for row in values] for j in support])
-        vector = _cramer_vector([[cells[i][j] for j in support] for i in chosen], spec)
-        for row in cells:
-            total = spec.zero()
-            for j, x in zip(support, vector):
-                total = total + row[j] * x
-            if not total.is_zero():
-                return win.rows - bareiss_rank(win.matrix)
-    return win.rows - len(pivots)
+    grid = [[_cell_token(win.at(r, c)) for c in range(win.cols)] for r in range(win.rows)]
+    m = win.rows
+    # Column e < m is the identity column e, over -t_e in row e; column m + c
+    # is block column c.  tableau[k] is the row of the basis column basis[k].
+    tableau = [[int(r == e) for e in range(m)] + [_SIGNS.get(tok, 0) for tok in row]
+               for r, row in enumerate(grid)]
+    basis = list(range(m))
+    rows_of = [[e] for e in range(m)] + [
+        [r for r in range(m) if isinstance(grid[r][c], int)] for c in range(win.cols)]
+    matched: dict[int, int] = {}  # row -> transversal column
+    row_of: dict[int, int] = {}  # transversal column -> row
+
+    def match(col: int, seen: set[int]) -> bool:
+        """Augment the matching to cover col; on failure, seen holds every
+        row an alternating path from col reaches."""
+        for r in rows_of[col]:
+            if r not in seen:
+                seen.add(r)
+                if r not in matched or match(matched[r], seen):
+                    matched[r], row_of[col] = col, r
+                    return True
+        return False
+
+    for x in range(m, m + win.cols):
+        # Breadth-first search for a shortest path from x to a column that
+        # can join the transversal side as it is, where match puts it; each
+        # step z -> y means that z takes y's place on y's side.
+        parent, todo = {x: x}, [x]
+        for z in todo:
+            steps = []
+            if z not in row_of:
+                seen: set[int] = set()
+                if match(z, seen):
+                    break
+                steps = [matched[r] for r in seen]
+            if z not in basis:
+                steps += [basis[k] for k, row in enumerate(tableau) if row[z]]
+            for y in steps:
+                if y not in parent:
+                    parent[y] = z
+                    todo.append(y)
+        else:
+            continue
+        path = [z]
+        while path[0] != x:
+            path.insert(0, parent[path[0]])
+        # Pivots taken in path order stay nonzero: a shortest path has no
+        # shortcut, so the rows of the later pivots are still untouched.
+        for new, old in zip(path, path[1:]):
+            if old not in basis:
+                matched.pop(row_of.pop(old))
+                continue
+            k = basis.index(old)
+            inv = 1 / Fraction(tableau[k][new])
+            pivot = tableau[k] = [v * inv for v in tableau[k]]
+            support = [j for j, v in enumerate(pivot) if v]
+            for other in tableau:
+                f = other[new]
+                if other is not pivot and f:
+                    for j in support:
+                        other[j] -= f * pivot[j]
+            basis[k] = new
+        # Every path column off the basis is now on the transversal side.
+        for col in set(path) - set(basis) - set(row_of):
+            match(col, set())
+    return m - len(row_of)
 
 
 def _probe_deficiency(win: Window, seed: int) -> int:
@@ -260,31 +259,23 @@ def rank_deficiency_report(
 ) -> RankReport:
     """Rank deficiencies (n - rank) of the class representatives.
 
-    Symbolic mode is exact over Q(a) and guarded at n <= 9 unless
-    ``allow_large`` is set.  It certifies each deficiency with two bounds:
-    the rank mod 2^61 - 1 at one fixed point is a lower bound on the rank,
-    and exact kernel vectors over Z[a], built by Cramer's rule on the
-    supports of the modular kernel and checked by multiplication, give the
-    upper bound.  A class whose certificate fails falls back to Bareiss
-    elimination over Z[a], so the result never depends on the point.
+    Block sides run over 1..MAX_BLOCK_DIM; ``allow_large`` lifts the upper
+    bound in symbolic mode only.  Symbolic mode is exact over Q(a): each
+    block is a mixed matrix, a constant 0 / +-1 part plus parameters that
+    never repeat, so its rank is combinatorial and is found by matroid
+    partition with a ``Fraction`` tableau and bipartite matchings, without
+    polynomial arithmetic or a random point.
 
-    Probe mode (n <= 48) evaluates the parameters at distinct random
-    integers in [2, 2^16) and reports the best deficiency over
-    ``_PROBE_TRIALS`` independent assignments; evaluation can only lower
-    rank, so the result is an upper bound on the symbolic deficiency.
+    Probe mode evaluates the parameters at distinct random integers in
+    [2, 2^16) and reports the best deficiency over ``_PROBE_TRIALS``
+    independent assignments; evaluation can only lower rank, so the result
+    is an upper bound on the symbolic deficiency.
     """
     if mode not in ("symbolic", "probe", "both"):
         raise ValidationError(f"unknown rank mode {mode!r}")
-    if mode in ("symbolic", "both") and n > MAX_SYMBOLIC_DIM and not allow_large:
-        raise UnsupportedOperationError(
-            f"symbolic rank is guarded at n <= {MAX_SYMBOLIC_DIM}; "
-            "pass allow_large to override"
-        )
-    if mode in ("probe", "both") and n > _MAX_PROBE_DIM:
-        raise UnsupportedOperationError(f"probe rank is guarded at n <= {_MAX_PROBE_DIM}")
-    classes = _corner_classes(t, n)
+    _check_size(n, allow_large and mode == "symbolic")
     entries = []
-    for cls in classes:
+    for cls in _corner_classes(t, n):
         if mode in ("symbolic", "both"):
             entries.append(RankEntry(cls, _symbolic_deficiency(cls.representative), "symbolic"))
         if mode in ("probe", "both"):

@@ -10,7 +10,6 @@ from sl2tilings import (
     Matrix,
     POLYNOMIALS,
     StructuralError,
-    UnsupportedOperationError,
     ValidationError,
     Window,
     bareiss_rank,
@@ -21,6 +20,7 @@ from sl2tilings import (
     rank_deficiency_report,
     unit_tiling,
 )
+from sl2tilings.rings import poly_eval
 
 EXPECTED_CLASS_COUNTS = {1: 3, 2: 2, 3: 4, 4: 3, 5: 4, 6: 3, 7: 4, 8: 3, 9: 4, 10: 3}
 
@@ -50,9 +50,15 @@ N5_CLASSES = [
 TORUS_INDEX = {(1, 3, 6, 0): 6, (5, 3, 6, 2): 6, (2, 2, 4, 0): 2, (1, 1, 4, 0): 4, (3, 1, 10, 6): 10}
 
 
-def formal_patched(u, v, m, t):
+# Sorted symbolic deficiencies of the wildest classes by n mod 10, for
+# 3 <= n <= 48: a measured pattern, not a theorem.
+PERIOD_TEN = {0: [0, 0, 0], 1: [0, 0, 0, 0], 2: [0, 0, 0], 3: [0, 1, 1, 1], 4: [0, 0, 1],
+              5: [0, 0, 1, 2], 6: [0, 0, 1], 7: [0, 1, 1, 1], 8: [0, 0, 0], 9: [0, 0, 0, 0]}
+
+
+def formal_patched(u, v, m, t, background="0 1 0 -1"):
     return parse_grid(f"sl2tiling v1\nring: Z[a]\nkind: patched\nrows: 1\ncols: 4\n"
-                      f"lattice: {u} {v} {m} {t}\nparams: formal\n\n0 1 0 -1\n")
+                      f"lattice: {u} {v} {m} {t}\nparams: formal\n\n{background}\n")
 
 
 def reference_form(win):
@@ -211,10 +217,9 @@ class TestEnumeration:
         assert [c.encoding for c in a] == [c.encoding for c in b]
 
     def test_size_validation(self, wildest_formal):
-        with pytest.raises(ValidationError):
-            enumerate_block_classes(wildest_formal, 0)
-        with pytest.raises(ValidationError):
-            enumerate_block_classes(wildest_formal, 13)
+        for n in (0, 49):
+            with pytest.raises(ValidationError, match=f"block size must be in 1..48, got {n}$"):
+                enumerate_block_classes(wildest_formal, n)
 
     def test_requires_formal_patched(self, wildest, unit):
         with pytest.raises(StructuralError):
@@ -254,17 +259,22 @@ class TestRankDeficiency:
         assert all(e.deficiency <= 2 for e in report.entries)
 
     def test_symbolic_guard(self, wildest_formal):
-        with pytest.raises(UnsupportedOperationError):
-            rank_deficiency_report(wildest_formal, 10, mode="symbolic")
-        report = rank_deficiency_report(wildest_formal, 10, mode="symbolic", allow_large=True)
+        report = rank_deficiency_report(wildest_formal, 10, mode="symbolic")
         assert sorted(e.deficiency for e in report.entries) == [0, 0, 0]
+        for n in (0, 49):
+            with pytest.raises(ValidationError, match=f"block size must be in 1..48, got {n}$"):
+                rank_deficiency_report(wildest_formal, n, mode="symbolic")
+        with pytest.raises(ValidationError):
+            rank_deficiency_report(wildest_formal, 0, mode="symbolic", allow_large=True)
+        report = rank_deficiency_report(wildest_formal, 49, mode="symbolic", allow_large=True)
+        assert sorted(e.deficiency for e in report.entries) == [0, 0, 0, 0]
 
     def test_probe_guard(self, wildest_formal, monkeypatch):
         # The guard alone: no class is built on either side of the bound.
         monkeypatch.setattr(blocks, "_corner_classes", lambda t, n: ())
         assert rank_deficiency_report(wildest_formal, 48, mode="probe").entries == ()
         for mode in ("probe", "both"):
-            with pytest.raises(UnsupportedOperationError, match="probe rank is guarded at n <= 48"):
+            with pytest.raises(ValidationError, match="block size must be in 1..48, got 49$"):
                 rank_deficiency_report(wildest_formal, 49, mode=mode, allow_large=True)
 
     def test_certified_matches_bareiss(self, wildest_formal):
@@ -273,34 +283,32 @@ class TestRankDeficiency:
             for e in report.entries:
                 assert e.deficiency == n - bareiss_rank(e.block_class.representative.matrix), f"n={n}"
 
+    @pytest.mark.parametrize("lattice", [(1, 3, 6, 0), (5, 3, 6, 2), (2, 2, 4, 0), (0, 2, 4, 1), (1, 1, 4, 0)],
+                             ids=lambda lattice: "-".join(map(str, lattice)))
+    def test_mixed_rank_matches_bareiss(self, lattice):
+        # A background must vanish on the lattice; 1 0 -1 0 does not on the
+        # other four, so only the empty lattice 2j = 1 (mod 4) takes it.
+        backgrounds = ["0 1 0 -1", "0 0 0 1"] + ["1 0 -1 0"] * (lattice == (0, 2, 4, 1))
+        for background in backgrounds:
+            t = formal_patched(*lattice, background)
+            for n in range(1, 7):
+                for e in rank_deficiency_report(t, n, mode="symbolic").entries:
+                    win = e.block_class.representative
+                    assert e.deficiency == n - bareiss_rank(win.matrix), (background, n, e.block_class.encoding)
+
     def test_certificates_close_without_bareiss(self, wildest_formal, monkeypatch):
         calls = []
         monkeypatch.setattr(blocks, "bareiss_rank", lambda m: calls.append(m) or bareiss_rank(m))
-        for n in range(5, 16):
-            rank_deficiency_report(wildest_formal, n, mode="symbolic", allow_large=True)
+        monkeypatch.setattr(blocks, "poly_eval", lambda *a: calls.append(a) or poly_eval(*a))
+        for n in range(1, 49):
+            report = rank_deficiency_report(wildest_formal, n, mode="symbolic")
+            expected = {1: [0, 0, 1], 2: [0, 0]}.get(n, PERIOD_TEN[n % 10])
+            assert sorted(e.deficiency for e in report.entries) == expected, f"n={n}"
         assert calls == []
 
     def test_n13_deficiencies(self, wildest_formal):
         report = rank_deficiency_report(wildest_formal, 13, mode="symbolic", allow_large=True)
         assert sorted(e.deficiency for e in report.entries) == [0, 1, 1, 1]
-
-    def test_failed_certificate_falls_back_to_bareiss(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(blocks, "bareiss_rank", lambda m: calls.append(m) or bareiss_rank(m))
-        # At a1 = a2 the rank mod p is 1, but the Cramer vector (a2, -a1) of
-        # the first row misses the second: a2^2 - a1^2 != 0.
-        monkeypatch.setattr(blocks, "_evaluation_point", lambda variables: {f"a{k}": 7 for k in variables})
-        win = poly_window([["a1", "a2"], ["a2", "a1"]])
-        assert blocks._symbolic_deficiency(win) == 0
-        assert len(calls) == 1
-
-    def test_large_support_falls_back_to_bareiss(self, wildest_formal, monkeypatch):
-        calls = []
-        monkeypatch.setattr(blocks, "bareiss_rank", lambda m: calls.append(m) or bareiss_rank(m))
-        monkeypatch.setattr(blocks, "_MAX_SUPPORT", 1)
-        report = rank_deficiency_report(wildest_formal, 5, mode="symbolic")
-        assert sorted(e.deficiency for e in report.entries) == EXPECTED_DEFICIENCIES[5]
-        assert len(calls) == 2
 
     def test_mode_validation(self, wildest_formal):
         with pytest.raises(ValidationError):

@@ -258,14 +258,37 @@ class TestClassesAndRank:
         assert all(c["method"] == "symbolic" for c in payload["classes"])
 
     def test_rank_guard(self, files, capsys):
-        code, _, err = run_cli("rank", files["formal"], "--n", "10", capsys=capsys)
-        assert code == 2
+        code, out, _ = run_cli("rank", files["formal"], "--n", "10", capsys=capsys)
+        assert (code, out.splitlines()[0]) == (0, "n=10: 3 rank entries")
+        for n in ("0", "49"):
+            for mode in ("symbolic", "probe", "both"):
+                code, out, err = run_cli("rank", files["formal"], "--n", n, "--mode", mode, capsys=capsys)
+                assert (code, out, err) == (2, "", f"error: block size must be in 1..48, got {n}\n")
 
     def test_probe_guard(self, files, tmp_path):
         proc = _python(tmp_path, "-m", "sl2tilings", "rank", files["formal"], "--n", "2000",
                        "--mode", "probe", timeout=60, preexec_fn=_cap_memory)
         assert (proc.returncode, proc.stdout) == (2, b"")
-        assert proc.stderr == b"error: probe rank is guarded at n <= 48\n"
+        assert proc.stderr == b"error: block size must be in 1..48, got 2000\n"
+
+    def test_largest_block(self, files, tmp_path):
+        for command in ("rank", "classes"):
+            proc = _python(tmp_path, "-m", "sl2tilings", command, files["formal"], "--n", "48",
+                           timeout=60, preexec_fn=_cap_memory)
+            assert (proc.returncode, proc.stderr) == (0, b"")
+            assert proc.stdout.startswith(b"n=48: 3 ")
+        proc = _python(tmp_path, "-m", "sl2tilings", "classes", files["formal"], "--n", "49",
+                       timeout=60, preexec_fn=_cap_memory)
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr == b"error: block size must be in 1..48, got 49\n"
+
+    def test_closed_stdout_is_quiet(self, files, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(Path(sl2tilings.__file__).resolve().parents[1]))
+        proc = subprocess.Popen([sys.executable, "-m", "sl2tilings", "classes", files["formal"], "--n", "12"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=tmp_path, env=env)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (1, b"")
 
 
 class TestAudit:
