@@ -15,8 +15,9 @@ images is serialized once, with every +-1 written as one of 8 marks for its
 sign and the parities of its row and column; each sign change is then one
 ``str.translate`` table from marks to + and -.
 
-The same tokens give the symbolic rank: a block is a mixed matrix, whose
-rank over Q(a) is the size of a matroid union (``_symbolic_deficiency``).
+The same tokens give both ranks.  A block is a mixed matrix, whose rank over
+Q(a) is the size of a matroid union (``_symbolic_deficiency``); the probe
+puts integers in place of its parameters (``_probe_deficiency``).
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ from fractions import Fraction
 
 from .errors import StructuralError, ValidationError
 from .matrices import Matrix, bareiss_rank
-from .rings import INTEGERS, RingValue, poly_eval
+from .rings import INTEGERS, RingValue
 from .tiling import Patched, TilingModel, Window, _torus_basis, extract_window
 
-# The largest block side for classes and both rank modes.  Probe rank at
-# n = 48 takes a few seconds; it grows about as n^3.
+# The largest block side for classes and both rank modes.  At n = 48 the
+# probe ranks of all classes take about 0.3 s; they grow about as n^3.
 MAX_BLOCK_DIM = 48
 _PROBE_TRIALS = 5
 
@@ -55,6 +56,10 @@ def _cell_token(v: RingValue) -> int | str:
     if tok is None:
         raise StructuralError(f"entry {v} is outside the 0 / +1 / -1 / parameter alphabet")
     return tok
+
+
+def _token_grid(win: Window) -> list[list[int | str]]:
+    return [[_cell_token(win.at(r, c)) for c in range(win.cols)] for r in range(win.rows)]
 
 
 def _images(grid: list[list[int | str]]):
@@ -83,7 +88,7 @@ def canonical_block_form(win: Window) -> str:
     """Minimal serialization of a square block over its symmetry group."""
     if win.rows != win.cols:
         raise StructuralError(f"block must be square, got {win.rows}x{win.cols}")
-    grid = [[_cell_token(win.at(r, c)) for c in range(win.cols)] for r in range(win.rows)]
+    grid = _token_grid(win)
     return min(s.translate(table) for s in map(_serialize, _images(grid)) for table in _SIGN_CHANGES)
 
 
@@ -151,7 +156,7 @@ class RankReport:
     entries: tuple[RankEntry, ...]
 
 
-def _symbolic_deficiency(win: Window) -> int:
+def _symbolic_deficiency(grid: list[list[int | str]]) -> int:
     """rows - rank over Q(a), exactly, as the rank of a mixed matrix.
 
     The block is A = Q + T with Q its 0 / +-1 entries and T its parameters.
@@ -164,15 +169,14 @@ def _symbolic_deficiency(win: Window) -> int:
     an exact ``Fraction`` tableau, and stays a basis; the transversal side
     grows by one column per shortest exchange path, so its size is the rank.
     """
-    grid = [[_cell_token(win.at(r, c)) for c in range(win.cols)] for r in range(win.rows)]
-    m = win.rows
+    m = len(grid)
     # Column e < m is the identity column e, over -t_e in row e; column m + c
     # is block column c.  tableau[k] is the row of the basis column basis[k].
     tableau = [[int(r == e) for e in range(m)] + [_SIGNS.get(tok, 0) for tok in row]
                for r, row in enumerate(grid)]
     basis = list(range(m))
     rows_of = [[e] for e in range(m)] + [
-        [r for r in range(m) if isinstance(grid[r][c], int)] for c in range(win.cols)]
+        [r for r in range(m) if isinstance(grid[r][c], int)] for c in range(m)]
     matched: dict[int, int] = {}  # row -> transversal column
     row_of: dict[int, int] = {}  # transversal column -> row
 
@@ -187,7 +191,7 @@ def _symbolic_deficiency(win: Window) -> int:
                     return True
         return False
 
-    for x in range(m, m + win.cols):
+    for x in range(m, 2 * m):
         # Breadth-first search for a shortest path from x to a column that
         # can join the transversal side as it is, where match puts it; each
         # step z -> y means that z takes y's place on y's side.
@@ -232,21 +236,15 @@ def _symbolic_deficiency(win: Window) -> int:
     return m - len(row_of)
 
 
-def _probe_deficiency(win: Window, seed: int) -> int:
-    variables = sorted({v for r in range(win.rows) for c in range(win.cols)
-                        for v in win.at(r, c).variables()})
-    best = win.rows
+def _probe_deficiency(grid: list[list[int | str]], seed: int) -> int:
+    variables = sorted({tok for row in grid for tok in row if isinstance(tok, int)})
+    best = len(grid)
     for trial in range(_PROBE_TRIALS):
         rng = random.Random(f"{seed}:{trial}")
-        values = rng.sample(range(2, 1 << 16), len(variables))
-        assignment = {f"a{k}": x for k, x in zip(variables, values)}
-        rows = []
-        for r in range(win.rows):
-            rows.append(
-                [poly_eval(win.at(r, c), assignment).payload for c in range(win.cols)]
-            )
-        rank = bareiss_rank(Matrix.from_ints(INTEGERS, rows))
-        best = min(best, win.rows - rank)
+        point = dict(zip(variables, rng.sample(range(2, 1 << 16), len(variables))))
+        rows = [[point[tok] if isinstance(tok, int) else _SIGNS.get(tok, 0) for tok in row]
+                for row in grid]
+        best = min(best, len(grid) - bareiss_rank(Matrix.from_ints(INTEGERS, rows)))
     return best
 
 
@@ -276,10 +274,9 @@ def rank_deficiency_report(
     _check_size(n, allow_large and mode == "symbolic")
     entries = []
     for cls in _corner_classes(t, n):
+        grid = _token_grid(cls.representative)
         if mode in ("symbolic", "both"):
-            entries.append(RankEntry(cls, _symbolic_deficiency(cls.representative), "symbolic"))
+            entries.append(RankEntry(cls, _symbolic_deficiency(grid), "symbolic"))
         if mode in ("probe", "both"):
-            entries.append(
-                RankEntry(cls, _probe_deficiency(cls.representative, seed), "evaluation-bound")
-            )
+            entries.append(RankEntry(cls, _probe_deficiency(grid, seed), "evaluation-bound"))
     return RankReport(n, tuple(entries))

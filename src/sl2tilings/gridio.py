@@ -38,7 +38,6 @@ from .rings import (
     PolynomialRing,
     RingSpec,
     RingValue,
-    iter_terms,
 )
 from .tiling import (
     FormalParameters,
@@ -92,7 +91,7 @@ def _parse_token(ring: RingSpec, token: str, line: int, col: int) -> RingValue:
         if index < 1:
             raise GridParseError(f"variable index must be positive in {token!r}", line, col)
         coeff = sign * (int(m.group(2)) if m.group(2) is not None else 1)
-        return ring.monomial(coeff, {index: 1}) if coeff else ring.zero()
+        return ring.value(coeff) * ring.variable(index)
     value = sign * int(m.group(2))
     if isinstance(ring, ModularRing) and abs(value) >= ring.modulus:
         raise GridParseError(
@@ -256,12 +255,11 @@ def parse_grid(text: str) -> TilingModel | Window:
 
 def _format_value(v: RingValue, signed: bool) -> str:
     if isinstance(v.spec, PolynomialRing):
-        terms = list(iter_terms(v))
-        if not terms:
+        if not v.payload:
             return "0"
-        if len(terms) > 1:
+        if len(v.payload) > 1:
             raise StructuralError(f"no token form for the multi-term polynomial {v}")
-        mono, coeff = terms[0]
+        [(mono, coeff)] = v.payload
         if not mono:
             return str(coeff)
         if len(mono) > 1 or mono[0][1] != 1:

@@ -15,7 +15,7 @@ from math import gcd
 from typing import Iterable, Iterator, Sequence, TypeVar, Union
 
 from .errors import StructuralError, UnsupportedOperationError, ValidationError
-from .rings import ModularRing, RingSpec, RingValue, divexact
+from .rings import ModularRing, PolynomialRing, RingSpec, RingValue, divexact
 
 # Minors take ring values, or plain ints standing for values of Z or Z/N
 # (reduced by the caller, once per minor).
@@ -70,14 +70,6 @@ class Matrix:
             out.append(row)
         return out
 
-    def __str__(self) -> str:
-        cells = [[str(self.at(i, j)) for j in range(self.cols)] for i in range(self.rows)]
-        widths = [max(len(cells[i][j]) for i in range(self.rows)) for j in range(self.cols)]
-        lines = []
-        for i in range(self.rows):
-            lines.append("[" + "  ".join(cells[i][j].rjust(widths[j]) for j in range(self.cols)) + "]")
-        return "\n".join(lines)
-
 
 def det2(a: Scalar, b: Scalar, c: Scalar, d: Scalar) -> Scalar:
     return a * d - b * c
@@ -105,35 +97,31 @@ def det3_scan(frame: Sequence[Sequence[Scalar]]) -> Iterator[Scalar]:
             yield det3((above[c : c + 3], row[c : c + 3], below[c : c + 3]))
 
 
-def _term_count(v: RingValue) -> int:
-    payload = v.payload
-    return len(payload) if isinstance(payload, tuple) else 1
-
-
 def bareiss_rank(m: Matrix) -> int:
     """Rank over the fraction field of an integral domain.
 
     Full pivoting: each step picks the first not-yet-used row/column position
     holding a nonzero entry with the fewest terms, scanning row-major.  The
     tie-break keeps pivots small (constants beat polynomials) and makes the
-    elimination deterministic.
+    elimination deterministic.  Over Z the elimination runs on plain ints,
+    where every nonzero entry has one term; over Z[a] on the values.
     """
     if isinstance(m.spec, ModularRing):
         raise UnsupportedOperationError("rank over residue rings is not supported")
-    spec = m.spec
-    a = [[m.at(i, j) for j in range(m.cols)] for i in range(m.rows)]
+    poly = isinstance(m.spec, PolynomialRing)
+    a = [list(m.row(i)) if poly else [v.payload for v in m.row(i)] for i in range(m.rows)]
+    zero, prev = (m.spec.zero(), m.spec.one()) if poly else (0, 1)
     live_rows = list(range(m.rows))
     live_cols = list(range(m.cols))
-    prev = spec.one()
     rank = 0
     while live_rows and live_cols:
         best = None
         best_cost = None
         for ri, i in enumerate(live_rows):
             for ci, j in enumerate(live_cols):
-                if a[i][j].is_zero():
+                if a[i][j] == zero:
                     continue
-                cost = _term_count(a[i][j])
+                cost = len(a[i][j].payload) if poly else 1
                 if best_cost is None or cost < best_cost:
                     best, best_cost = (ri, ci), cost
             if best_cost == 1:
@@ -143,11 +131,14 @@ def bareiss_rank(m: Matrix) -> int:
         ri, ci = best
         pi = live_rows.pop(ri)
         pj = live_cols.pop(ci)
-        pivot = a[pi][pj]
+        pivot_row = a[pi]
+        pivot = pivot_row[pj]
         for i in live_rows:
+            row = a[i]
+            f = row[pj]
             for j in live_cols:
-                num = pivot * a[i][j] - a[i][pj] * a[pi][j]
-                a[i][j] = divexact(num, prev)
+                num = pivot * row[j] - f * pivot_row[j]
+                row[j] = divexact(num, prev) if poly else num // prev
         prev = pivot
         rank += 1
     return rank

@@ -15,7 +15,7 @@ hashable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Union
+from typing import Union
 
 from .errors import (
     RingMismatchError,
@@ -195,15 +195,6 @@ class PolynomialRing:
             raise ValidationError(f"variable index must be positive, got {index}")
         return RingValue(self, (((((index, 1),)), 1),))
 
-    def monomial(self, coeff: int, exponents: Mapping[int, int]) -> "RingValue":
-        if coeff == 0:
-            return self.zero()
-        for i, e in exponents.items():
-            if i < 1 or e < 1:
-                raise ValidationError("exponent map must use positive indices and exponents")
-        mono = tuple(sorted(exponents.items()))
-        return RingValue(self, ((mono, int(coeff)),))
-
     def __str__(self) -> str:
         return "Z[a]"
 
@@ -268,13 +259,6 @@ class RingValue:
             return RingValue(self.spec, (self.payload * other.payload) % self.spec.modulus)
         return RingValue(self.spec, self.payload * other.payload)
 
-    def variables(self) -> tuple[int, ...]:
-        """Sorted indices of the variables occurring in this value."""
-        if not isinstance(self.spec, PolynomialRing):
-            return ()
-        seen = {i for mono, _ in self.payload for i, _ in mono}
-        return tuple(sorted(seen))
-
     def constant_value(self) -> int | None:
         """The integer this value equals, or None for a non-constant polynomial."""
         if isinstance(self.spec, PolynomialRing):
@@ -322,29 +306,3 @@ def divexact(x: RingValue, y: RingValue) -> RingValue:
         raise ArithmeticError(f"inexact integer division {x.payload} / {y.payload}")
     return RingValue(x.spec, q)
 
-
-def poly_eval(value: RingValue, assignment: Mapping[str, int]) -> RingValue:
-    """Evaluate a polynomial at integer points, yielding an integer value.
-
-    The assignment maps variable names such as ``"a3"`` to integers and must
-    cover every variable occurring in the polynomial.
-    """
-    if not isinstance(value.spec, PolynomialRing):
-        raise StructuralError("poly_eval expects a polynomial value")
-    total = 0
-    for mono, coeff in value.payload:
-        term = coeff
-        for i, e in mono:
-            name = f"a{i}"
-            if name not in assignment:
-                raise StructuralError(f"assignment is missing variable {name}")
-            term *= assignment[name] ** e
-        total += term
-    return INTEGERS.value(total)
-
-
-def iter_terms(value: RingValue) -> Iterator[tuple[Monomial, int]]:
-    """Iterate (monomial, coefficient) pairs of a polynomial, leading first."""
-    if not isinstance(value.spec, PolynomialRing):
-        raise StructuralError("iter_terms expects a polynomial value")
-    return iter(value.payload)

@@ -69,11 +69,6 @@ class SearchResult:
     stats: SearchStats
 
 
-def propagate_cell(nw: int, ne: int, sw: int, modulus: int) -> range:
-    """Admissible southeast cells x of a 2x2 window: nw*x = 1 + ne*sw."""
-    return solve_linear_congruence(nw, 1 + ne * sw, modulus)
-
-
 def block_is_sl2(block: Block, modulus: int) -> bool:
     """Every wrapped 2x2 determinant equals 1."""
     frame = [[*row, row[0]] for row in (*block, block[0])]
@@ -151,7 +146,8 @@ def _dfs(part) -> tuple[tuple[Block, ...], int, bool]:
                     solutions.add(canonical_block(block))
                 continue
             if i and j:
-                stack.append(iter(propagate_cell(b[i - 1][j - 1], b[i - 1][j], b[i][j - 1], n)))
+                nw, ne, sw = b[i - 1][j - 1], b[i - 1][j], b[i][j - 1]
+                stack.append(iter(solve_linear_congruence(nw, 1 + ne * sw, n)))
             else:
                 stack.append(iter(free_domain))
             break
@@ -171,9 +167,10 @@ def search_fully_wild(config: SearchConfig) -> SearchResult:
     # More workers than first-cell values would only get empty groups.
     workers = min(config.worker_count, len(domain))
     budget = config.node_budget
-    per_worker = None if budget is None else -(-budget // workers)
+    # Worker k gets budget // workers nodes, one more while k < budget % workers.
     parts = [
-        (config.modulus, config.rows, config.cols, domain[k::workers], domain, per_worker)
+        (config.modulus, config.rows, config.cols, domain[k::workers], domain,
+         None if budget is None else budget // workers + (k < budget % workers))
         for k in range(workers)
     ]
     if workers == 1:
@@ -206,12 +203,13 @@ def brute_force_oracle(
     if modulus < 2 or rows < 2 or cols < 2:
         raise ValidationError("need modulus >= 2 and a block of at least 2x2")
     cells = rows * cols
-    total = modulus ** cells
-    if total > ORACLE_STATE_GUARD and not allow_large:
+    # Past 28 cells even 2^cells is over the guard, so the power is not built.
+    if not allow_large and (cells > 28 or modulus ** cells > ORACLE_STATE_GUARD):
+        count = f"{modulus}^{cells}" if cells > 28 else f"{modulus}^{cells} = {modulus ** cells}"
         raise UnsupportedOperationError(
-            f"{modulus}^{cells} = {total} states exceeds the 2^28 oracle guard; "
-            "pass allow_large to override"
+            f"{count} states exceeds the 2^28 oracle guard; pass allow_large to override"
         )
+    total = modulus ** cells
     # The cells x that complete a 2x2 window to det2 = 1, keyed by its other
     # three cells (nw, ne, sw): a row's successors grow column by column.
     complete: dict[tuple[int, int, int], list[int]] = {}

@@ -20,7 +20,6 @@ from sl2tilings import (
     rank_deficiency_report,
     unit_tiling,
 )
-from sl2tilings.rings import poly_eval
 
 EXPECTED_CLASS_COUNTS = {1: 3, 2: 2, 3: 4, 4: 3, 5: 4, 6: 3, 7: 4, 8: 3, 9: 4, 10: 3}
 
@@ -299,7 +298,6 @@ class TestRankDeficiency:
     def test_certificates_close_without_bareiss(self, wildest_formal, monkeypatch):
         calls = []
         monkeypatch.setattr(blocks, "bareiss_rank", lambda m: calls.append(m) or bareiss_rank(m))
-        monkeypatch.setattr(blocks, "poly_eval", lambda *a: calls.append(a) or poly_eval(*a))
         for n in range(1, 49):
             report = rank_deficiency_report(wildest_formal, n, mode="symbolic")
             expected = {1: [0, 0, 1], 2: [0, 0]}.get(n, PERIOD_TEN[n % 10])

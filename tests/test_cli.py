@@ -36,6 +36,23 @@ CLASSES_JSON_SHA256 = [
     "92289533af44921a80529efe8757dc41fa8ebd60f08e28d471073401789b5548",
 ]
 
+# SHA-256 of `sl2 rank formal.grid --n K --mode both --json --seed S` stdout
+# for K = 1..12; seeds 0 and 3 print the same bytes.
+RANK_BOTH_JSON_SHA256 = [
+    "dc63443386a6d599fa6ce53a611540dbc92d174df87fe8b1c402f24c9a9986f0",
+    "8af1bc1d3defd3a8292efcf5d0b3c9a8118b78aa8fd9063c3f6684507780ee30",
+    "a17819063261d1d00e48509a2e139f33e586dcc166bb987ed0adf290ebb318d7",
+    "5953de4cf848b2d4cfea2ac4214d6b4f05a7524ebef10e41293aed8d1d061277",
+    "edcbe0962e36319ec8f23c11318578e68f3e9ce367c2579128019ebe648da912",
+    "6196b01371ceadadfd0c22e44ff287d6034923688fa5163187d7ed98a9e92a15",
+    "780dfcf743a30305ba216357c82062df95bd40c306bfc129642229b78dd8558a",
+    "a0c89c2a2bc6ca0760b0b43a3cd01867414d0be7586093815a0b08e15dcb96f3",
+    "7b2ba4e555b90d6ea22219e9493e902fc48ab11479ff0284bb9de0dc2f0ef233",
+    "678e146b3eda914e51123c94f40fe258102f59742554b08c1c9045c51b723755",
+    "4cee70e409cab0d38d82b3f73e6f3cc4b709f9d2415411e8bdeaa210a52f72e4",
+    "4d191248f1d221c6c854ead7ebf2654d3bf5b3a0dcf042d45a1829212e27dbab",
+]
+
 
 def run_cli(*argv, capsys=None):
     code = main(list(argv))
@@ -245,6 +262,16 @@ class TestClassesAndRank:
             digests.append(hashlib.sha256(out.encode()).hexdigest())
         assert digests == CLASSES_JSON_SHA256
 
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_rank_both_json_bytes(self, files, capsys, seed):
+        digests = []
+        for n in range(1, 13):
+            code, out, _ = run_cli("rank", files["formal"], "--n", str(n), "--mode", "both", "--json",
+                                   "--seed", str(seed), capsys=capsys)
+            assert code == 0
+            digests.append(hashlib.sha256(out.encode()).hexdigest())
+        assert digests == RANK_BOTH_JSON_SHA256
+
     def test_classes_requires_formal(self, files, capsys):
         code, _, err = run_cli("classes", files["z36"], "--n", "3", capsys=capsys)
         assert code == 2
@@ -395,6 +422,12 @@ class TestSearch:
         assert (code, out) == (2, "")
         assert err == ("error: 7^16 = 33232930569601 states exceeds the 2^28 oracle guard; "
                        "pass allow_large to override\n")
+
+    def test_oracle_guard_past_28_cells(self, capsys):
+        code, out, err = run_cli("search", "--modulus", "10", "--rows", "70", "--cols", "70",
+                                 "--oracle", capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: 10^4900 states exceeds the 2^28 oracle guard; pass allow_large to override\n"
 
     def test_oracle_flag_conflicts(self, capsys):
         code, _, err = run_cli(

@@ -7,12 +7,9 @@ from sl2tilings import (
     POLYNOMIALS,
     ModularRing,
     RingMismatchError,
-    StructuralError,
     UnsupportedOperationError,
     ValidationError,
     divexact,
-    iter_terms,
-    poly_eval,
 )
 
 
@@ -99,18 +96,17 @@ class TestPolynomials:
         a1, a2 = var(1), var(2)
         assert str((a1 + a2) * (a1 - a2)) == "a1^2 - a2^2"
         assert str(a1 * a2) == "a1*a2"
-        assert str(POLYNOMIALS.monomial(-3, {1: 2, 2: 1})) == "-3*a1^2*a2"
+        assert str(const(-3) * a1 * a1 * a2) == "-3*a1^2*a2"
         assert str(POLYNOMIALS.zero()) == "0"
 
     def test_grlex_leading_term(self):
         # degree first, then a1 > a2 > ... on ties
         a1, a2 = var(1), var(2)
         p = a2 * a2 + a1 + const(5)
-        mono, coeff = next(iter_terms(p))
-        assert mono == ((2, 2),) and coeff == 1
+        assert p.payload == ((((2, 2),), 1), (((1, 1),), 1), ((), 5))
         q = a1 * a2 + a2 * a2
-        mono, _ = next(iter_terms(q))
-        assert mono == ((1, 1), (2, 1))
+        assert [mono for mono, _ in q.payload] == [((1, 1), (2, 1)), ((2, 2),)]
+        assert (const(-3) * a1 * a1 * a2).payload == ((((1, 2), (2, 1)), -3),)
 
     def test_helpers(self):
         a3 = var(3)
@@ -119,7 +115,6 @@ class TestPolynomials:
         assert (a3 * a3).single_variable() is None
         assert const(9).constant_value() == 9
         assert a3.constant_value() is None
-        assert (a3 + var(7)).variables() == (3, 7)
 
     def test_variable_index_validation(self):
         with pytest.raises(ValidationError):
@@ -132,16 +127,6 @@ class TestPolynomials:
         with pytest.raises(ArithmeticError):
             divexact(a1 + const(1), a2)
 
-    def test_poly_eval(self):
-        a1, a2 = var(1), var(2)
-        p = (a1 + a2) * (a1 - a2)
-        v = poly_eval(p, {"a1": 5, "a2": 3})
-        assert v.spec is INTEGERS and v.payload == 16
-        with pytest.raises(StructuralError):
-            poly_eval(p, {"a1": 5})
-        with pytest.raises(StructuralError):
-            poly_eval(INTEGERS.value(3), {})
-
     @settings(max_examples=50)
     @given(st.lists(st.tuples(st.integers(1, 4), st.integers(-5, 5)), max_size=5),
            st.lists(st.tuples(st.integers(1, 4), st.integers(-5, 5)), max_size=5))
@@ -152,12 +137,18 @@ class TestPolynomials:
                 p = p + POLYNOMIALS.variable(idx) * const(c)
             return p
 
-        point = {f"a{k}": k + 2 for k in range(1, 5)}
+        def at_point(p):
+            # a_k = k + 2, summed term by term.
+            total = 0
+            for mono, coeff in p.payload:
+                for k, e in mono:
+                    coeff *= (k + 2) ** e
+                total += coeff
+            return total
+
         x, y = build(left), build(right)
-        assert (poly_eval(x * y, point).payload
-                == poly_eval(x, point).payload * poly_eval(y, point).payload)
-        assert (poly_eval(x + y, point).payload
-                == poly_eval(x, point).payload + poly_eval(y, point).payload)
+        assert at_point(x * y) == at_point(x) * at_point(y)
+        assert at_point(x + y) == at_point(x) + at_point(y)
 
     def test_cancellation_to_zero(self):
         a1 = var(1)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import sl2tilings.search
 from sl2tilings.cli import main
-from sl2tilings.matrices import det2
+from sl2tilings.matrices import det2, solve_linear_congruence
 from sl2tilings import (
     SearchConfig,
     UnsupportedOperationError,
@@ -15,7 +15,6 @@ from sl2tilings import (
     block_is_sl2,
     brute_force_oracle,
     canonical_block,
-    propagate_cell,
     search_fully_wild,
     z36_tiling,
 )
@@ -82,17 +81,18 @@ def wrapped_cases(draw):
 
 
 class TestPropagate:
+    # The DFS derives a southeast cell x from its 2x2 window: nw*x = 1 + ne*sw.
     def test_gcd_fan_out(self):
-        assert list(propagate_cell(3, 2, 4, 36)) == [3, 15, 27]
+        assert list(solve_linear_congruence(3, 1 + 2 * 4, 36)) == [3, 15, 27]
 
     def test_unique(self):
-        assert list(propagate_cell(1, 0, 0, 5)) == [1]
+        assert list(solve_linear_congruence(1, 1 + 0 * 0, 5)) == [1]
 
     def test_two_solutions(self):
-        assert list(propagate_cell(2, 1, 1, 4)) == [1, 3]
+        assert list(solve_linear_congruence(2, 1 + 1 * 1, 4)) == [1, 3]
 
     def test_empty(self):
-        assert not propagate_cell(2, 1, 2, 4)
+        assert not solve_linear_congruence(2, 1 + 1 * 2, 4)
 
     def test_agrees_with_brute_force(self):
         for n in (4, 6, 9):
@@ -100,7 +100,7 @@ class TestPropagate:
                 for ne in range(n):
                     for sw in range(n):
                         want = [x for x in range(n) if (nw * x - 1 - ne * sw) % n == 0]
-                        assert list(propagate_cell(nw, ne, sw, n)) == want
+                        assert list(solve_linear_congruence(nw, 1 + ne * sw, n)) == want
 
 
 class TestValidators:
@@ -222,11 +222,11 @@ class TestSearch:
         ]
         assert len({(r.solutions, r.stats.nodes, r.stats.budget_exhausted) for r in budgeted}) == 1
 
-    def test_per_worker_budget_rounds_up(self):
-        # 7 nodes over 3 workers: each gets ceil(7 / 3) = 3 and spends them all.
+    def test_per_worker_budgets_sum_to_budget(self):
+        # 7 nodes over 3 workers: they get 3, 2 and 2 and spend them all.
         capped = search_fully_wild(SearchConfig(6, 2, 2, node_budget=7, worker_count=3))
         assert capped.stats.budget_exhausted
-        assert capped.stats.nodes == 9
+        assert capped.stats.nodes == 7
 
     def test_node_counting_monotone(self):
         plain = search_fully_wild(SearchConfig(6, 2, 2))
@@ -258,6 +258,12 @@ class TestTraversal:
         assert main(["search", "--modulus", "4"]) == 0
         assert capsys.readouterr().out.endswith("# solutions=0 nodes=54516 budget_exhausted=false\n")
 
+    @pytest.mark.parametrize("budget, jobs", [(1001, 2), (1, 2), (5, 3)])
+    def test_cli_budget_split(self, capsys, budget, jobs):
+        # An uneven budget still caps the nodes of all workers together.
+        assert main(["search", "--modulus", "5", "--budget", str(budget), "--jobs", str(jobs)]) == 0
+        assert capsys.readouterr() == (f"# solutions=0 nodes={budget} budget_exhausted=true\n", "")
+
     def test_deep_block_needs_no_recursion(self, capsys):
         # 2400 cells, deeper than the interpreter's recursion limit; the
         # budget bounds the work.
@@ -269,6 +275,13 @@ class TestOracle:
     def test_state_guard(self):
         with pytest.raises(UnsupportedOperationError):
             brute_force_oracle(7, 4, 4)
+
+    def test_state_guard_builds_no_power_past_28_cells(self):
+        # 2^29 is over the guard already; 10^4900 would not even print.
+        for modulus, rows, cols in ((2, 5, 6), (10, 70, 70)):
+            with pytest.raises(UnsupportedOperationError,
+                               match=rf"^{modulus}\^{rows * cols} states exceeds the 2\^28 oracle guard"):
+                brute_force_oracle(modulus, rows, cols)
 
     def test_row_pairs_grow_column_by_column(self, monkeypatch):
         calls = []
@@ -301,7 +314,6 @@ class TestOracle:
         def forbidden(*args):
             raise AssertionError("the oracle must not solve congruences")
 
-        monkeypatch.setattr(sl2tilings.search, "propagate_cell", forbidden)
         monkeypatch.setattr(sl2tilings.search, "solve_linear_congruence", forbidden)
         oracle = brute_force_oracle(modulus, rows, cols, allow_large=True)
         assert dfs.solutions == oracle.solutions
