@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 verification failure / audit counterexample /
-render refusal, 2 usage, parse, or unsupported-operation errors.
+render refusal, 2 usage, parse, or unsupported-operation errors, and files
+that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .tiling import (
     NumericParameters,
     Patched,
     PeriodicBlock,
-    RuleBased,
     Window,
     audit_window,
     extract_window,
@@ -49,8 +49,6 @@ from .tiling import (
 
 
 def _describe(obj) -> str:
-    if isinstance(obj, RuleBased):
-        return f"rule over {obj.ring}"
     if isinstance(obj, PeriodicBlock):
         return f"periodic {obj.h}x{obj.w} over {obj.ring}"
     if isinstance(obj, Patched):
@@ -91,9 +89,16 @@ def _load(path: str):
     return parse_grid(text)
 
 
+def _write(path: str, doc: str) -> None:
+    try:
+        Path(path).write_text(doc, encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _emit(doc: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(doc, encoding="utf-8")
+        _write(out, doc)
     else:
         sys.stdout.write(doc)
 
@@ -382,7 +387,7 @@ def _cmd_render(args) -> int:
         options=RenderOptions(cell_size=args.cell_size, labels=args.labels),
         force=args.force,
     )
-    Path(args.out).write_text(svg, encoding="utf-8")
+    _write(args.out, svg)
     print(f"wrote {args.out}")
     return 0
 

@@ -51,6 +51,9 @@ from .tiling import (
 )
 
 FORMAT_LINE = "sl2tiling v1"
+# A patched model's wild torus, which verify, density and every report read,
+# has at most 4m cells: this keeps it within the 250,000 cells of a --window.
+_MAX_LATTICE_MODULUS = 250_000 // 4
 
 _TOKEN_RE = re.compile(r"^([+-]?)(?:(\d+)(?:\*a(\d+))?|a(\d+))$")
 _RING_RE = re.compile(r"^(Z)$|^Z/(\d+)$|^(Z\[a\])$")
@@ -216,6 +219,10 @@ def parse_grid(text: str) -> TilingModel | Window:
             lattice = SublatticeSpec(u, v, m, t)
         except ValidationError as exc:
             raise GridParseError(str(exc), lat_line) from None
+        if m > _MAX_LATTICE_MODULUS:
+            raise GridParseError(
+                f"lattice modulus {m} is over the bound of {_MAX_LATTICE_MODULUS}", lat_line
+            )
         par_text, par_line = take("params")
         params = _parse_params(par_text, par_line)
         if h != 1 or w != 4:

@@ -164,9 +164,9 @@ def search_fully_wild(config: SearchConfig) -> SearchResult:
     domain = (
         _nonunits(config.modulus) if config.prune_nonunits else list(range(config.modulus))
     )
-    # More workers than first-cell values would only get empty groups.
-    workers = min(config.worker_count, len(domain))
     budget = config.node_budget
+    # More workers than first-cell values or budgeted nodes would get no work.
+    workers = min(config.worker_count, len(domain), budget or len(domain))
     # Worker k gets budget // workers nodes, one more while k < budget % workers.
     parts = [
         (config.modulus, config.rows, config.cols, domain[k::workers], domain,

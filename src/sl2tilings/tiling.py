@@ -320,31 +320,25 @@ def _minors(scan: Callable[[list], Iterator], m: Matrix) -> Iterator[RingValue]:
 def _formal_twin(t: Patched) -> Patched:
     if t.is_formal():
         return t
-    table = []
-    for v in t.base.table:
-        c = v.constant_value()
-        if c is None:
-            raise StructuralError("background table entry is not constant")
-        table.append(POLYNOMIALS.value(c))
-    base = RuleBased(POLYNOMIALS, tuple(table))
+    base = RuleBased(POLYNOMIALS, tuple(POLYNOMIALS.value(v.payload) for v in t.base.table))
     return Patched(POLYNOMIALS, base, t.lattice, FormalParameters())
 
 
 def verify_sl2(t: TilingModel) -> Violation | None:
     """First adjacent 2x2 window whose determinant differs from 1, if any.
 
-    Finite sufficiency: rule models have 4 window classes; periodic models
-    are scanned over one wrapped period; patched models are checked with
-    parameters kept formal on the background's 4 classes plus the m windows
-    whose top-left cell is (0, k), which together with the constructor's
-    background-zero invariant cover every translate.
+    Finite sufficiency: a translation in the lattice of _torus_basis multiplies
+    entries by +-(-1)^(i+j) at most and renames parameters, which keeps every
+    det2, so one (p+1) x (q+1) window at the origin decides: 2x5 for a rule,
+    (h+1) x (w+1) for a periodic block.  A patched model is checked with its
+    parameters kept formal, after its background rule, whose fault comes first.
     """
-    if isinstance(t, RuleBased):
-        return verify_window(extract_window(t, 0, 0, 2, 5))
-    if isinstance(t, PeriodicBlock):
-        return verify_window(extract_window(t, 0, 0, t.h + 1, t.w + 1))
-    twin = _formal_twin(t)
-    return verify_sl2(twin.base) or verify_window(extract_window(twin, 0, 0, 2, twin.lattice.m + 1))
+    if isinstance(t, Patched):
+        t = _formal_twin(t)
+        if fault := verify_sl2(t.base):
+            return fault
+    p, q, _ = _torus_basis(t)
+    return verify_window(extract_window(t, 0, 0, p + 1, q + 1))
 
 
 def verify_window(win: Window) -> Violation | None:
@@ -411,34 +405,31 @@ class WildnessReport:
 def wildness_report(t: TilingModel, i0: int, j0: int, h: int, w: int) -> WildnessReport:
     """Per-cell wildness and display colors for the h x w window at (i0, j0).
 
-    Violations list every 2x2 window whose top-left cell lies in the region.
+    Wildness is read off the wild torus, and found by classify_entry at the
+    few cells whose 3x3 window meets an explicit numeric value.  Violations
+    list every 2x2 window whose top-left cell lies in the region.
     """
     if h < 1 or w < 1:
         raise ValidationError(f"window shape must be positive, got {h}x{w}")
-    frame = extract_window(t, i0 - 1, j0 - 1, h + 2, w + 2)
-    d3s = _minors(det3_scan, frame.matrix)
-    # One det2 per frame window, (h + 1) x (w + 1); the region's windows
-    # are those past row 0 and column 0.
-    d2s = list(_minors(det2_scan, frame.matrix))
-    lattice = t.lattice if isinstance(t, Patched) else None
+    rows, s = _wild_torus(t)
+    p, q = len(rows), len(rows[0])
+    explicit = _explicit_cells(t)
+    wild = tuple(
+        tuple(classify_entry(t, i, j)[0] if (i, j) in explicit
+              else rows[i % p][(j - s * (i // p)) % q] for j in range(j0, j0 + w))
+        for i in range(i0, i0 + h)
+    )
+    # One (h + 1) x (w + 1) frame: the region's entries, and one det2 per cell.
+    frame = extract_window(t, i0, j0, h + 1, w + 1)
+    is_param = t.lattice.contains if isinstance(t, Patched) else lambda i, j: False
+    colors = tuple(
+        tuple(_value_color(frame.at(r, c), wild[r][c], is_param(i0 + r, j0 + c)) for c in range(w))
+        for r in range(h)
+    )
     one = t.ring.one()
-    wild_rows = []
-    color_rows = []
-    violations = []
-    for r in range(h):
-        wr = []
-        cr = []
-        for c in range(w):
-            wild = not next(d3s).is_zero()
-            is_param = lattice is not None and lattice.contains(i0 + r, j0 + c)
-            wr.append(wild)
-            cr.append(_value_color(frame.at(r + 1, c + 1), wild, is_param))
-            v = d2s[(r + 1) * (w + 1) + c + 1]
-            if v != one:
-                violations.append(Violation(i0 + r, j0 + c, v))
-        wild_rows.append(tuple(wr))
-        color_rows.append(tuple(cr))
-    return WildnessReport((i0, j0), h, w, tuple(wild_rows), tuple(color_rows), tuple(violations))
+    d2s = enumerate(_minors(det2_scan, frame.matrix))
+    violations = tuple(Violation(i0 + k // w, j0 + k % w, v) for k, v in d2s if v != one)
+    return WildnessReport((i0, j0), h, w, wild, colors, violations)
 
 
 @dataclass(frozen=True)
@@ -480,12 +471,22 @@ def _torus_basis(t: TilingModel) -> tuple[int, int, int]:
 
 def _wild_torus(t: TilingModel) -> tuple[tuple[tuple[bool, ...], ...], int]:
     """(rows, c) with wild(i, j) = rows[i mod p][(j - c*(i // p)) mod q] on the
-    basis of _torus_basis.  Explicit numeric values are left out: they can
-    cancel in a det3, the default cannot."""
+    basis of _torus_basis, from the p*q det3s of one (p+2) x (q+2) window.
+    Explicit numeric values are left out: they can cancel in a det3, the
+    default cannot, so the cells of _explicit_cells need their own det3."""
     p, q, c = _torus_basis(t)
     if isinstance(t, Patched) and not t.is_formal():
         t = replace(t, parameters=NumericParameters((), t.parameters.default))
-    return wildness_report(t, 0, 0, p, q).wild, c
+    wild = [not d3.is_zero() for _, d3 in _interior_det3s(extract_window(t, -1, -1, p + 2, q + 2))]
+    return tuple(tuple(wild[r * q:(r + 1) * q]) for r in range(p)), c
+
+
+def _explicit_cells(t: TilingModel) -> set[tuple[int, int]]:
+    """The cells whose 3x3 window meets an explicit numeric value."""
+    if not isinstance(t, Patched) or t.is_formal():
+        return set()
+    return {(i + di, j + dj) for (i, j), _ in t.parameters.values
+            for di in (-1, 0, 1) for dj in (-1, 0, 1)}
 
 
 def wild_density_exact(t: TilingModel) -> Fraction:
@@ -511,12 +512,8 @@ def wild_density_windows(t: TilingModel, radii: Sequence[int]) -> tuple[DensityS
     p, q = len(rows), len(rows[0])
     residues = [[k for k, wild in enumerate(row) if wild] for row in rows]
     # The torus leaves out explicit numeric values: recount the cells they reach.
-    fixes = {}
-    explicit = isinstance(t, Patched) and not t.is_formal()
-    for (pi, pj), _ in t.parameters.values if explicit else ():
-        for i, row in enumerate(wildness_report(t, pi - 1, pj - 1, 3, 3).wild, pi - 1):
-            for j, wild in enumerate(row, pj - 1):
-                fixes[i, j] = wild - rows[i % p][(j - c * (i // p)) % q]
+    fixes = {(i, j): classify_entry(t, i, j)[0] - rows[i % p][(j - c * (i // p)) % q]
+             for i, j in _explicit_cells(t)}
     samples = []
     for r in radii:
         wild = sum(d for (i, j), d in fixes.items() if i * i + j * j <= r * r)

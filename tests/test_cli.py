@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import sl2tilings
-from sl2tilings import UnsupportedOperationError, ValidationError, cli
+from sl2tilings import UnsupportedOperationError, ValidationError, cli, gridio
 from sl2tilings.cli import main
 from sl2tilings.matrices import det3
 
@@ -504,6 +504,18 @@ class TestWindowBound:
             cli._window(Namespace(window=[0, 0, 500, 501]), wildest)
 
 
+    def test_lattice_modulus_bound(self, files, tmp_path):
+        # 4 * 62,500 torus cells fit the --window bound; m = 10^12 is refused
+        # at parse, in a capped subprocess so that a missing guard fails.
+        assert 4 * gridio._MAX_LATTICE_MODULUS == cli._WINDOW_CELLS
+        path = tmp_path / "huge.grid"
+        path.write_text(EVERY_ZERO_PATCHED.replace("lattice: 2 2 4 0", "lattice: 1 1 1000000000000 0"))
+        message = b"error: line 6, col 1: lattice modulus 1000000000000 is over the bound of 62500\n"
+        for argv in (["verify"], ["render", "--out", "huge.svg"]):
+            proc = _python(tmp_path, "-m", "sl2tilings", argv[0], str(path), *argv[1:],
+                           timeout=60, preexec_fn=_cap_memory)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", message)
+
     def test_every_command_refuses_an_empty_window(self, files, capsys):
         for argv in (["verify"], ["audit"], ["audit", "--cross"], ["render", "--out", "e.svg"]):
             code, out, err = run_cli(argv[0], files["wildest"], *argv[1:], "--window", "0", "0", "0", "5",
@@ -517,6 +529,22 @@ class TestWindowBound:
             code, out, err = run_cli(argv[0], str(path), *argv[1:], "--window", "0", "0", "2", "2",
                                      capsys=capsys)
             assert (code, out, err) == (2, "", "error: --window applies to model documents only\n")
+
+
+class TestWriteErrors:
+    def test_unwritable_out_exits_two(self, files, capsys):
+        # A write error names the path, as a read error does, with no traceback.
+        out_dir = str(files["dir"])
+        cases = [
+            (["generate", "unit", "--out", "/nonexistent/u.grid"],
+             "/nonexistent/u.grid: No such file or directory"),
+            (["render", files["z36"], "--out", "/nonexistent/x.svg"],
+             "/nonexistent/x.svg: No such file or directory"),
+            (["render", files["z36"], "--out", out_dir], f"{out_dir}: Is a directory"),
+        ]
+        for argv, message in cases:
+            code, out, err = run_cli(*argv, capsys=capsys)
+            assert (code, out, err) == (2, "", f"error: cannot write {message}\n")
 
 
 class TestTopLevel:

@@ -145,6 +145,16 @@ class TestParseErrors:
         self.expect_error(
             "sl2tiling v1\nring: Z\nkind: periodic\nrows: 1\ncols: 1\n\n1\n2\n")
 
+    def test_lattice_modulus_bound(self):
+        # Refused on the lattice line before any Patched is built, so even
+        # m = 10^12 returns at once; 62,500 = 250,000 / 4 is still accepted.
+        doc = ("sl2tiling v1\nring: Z\nkind: patched\nrows: 1\ncols: 4\n"
+               "lattice: 1 1 {} 0\nparams: default=1\n\n0 1 0 -1\n")
+        for m in (10**12, 62_501):
+            err = self.expect_error(doc.format(m), line=6)
+            assert str(err) == f"line 6, col 1: lattice modulus {m} is over the bound of 62500"
+        assert parse_grid(doc.format(62_500)).lattice.m == 62_500
+
     def test_patched_grid_must_be_rule_table(self):
         self.expect_error(
             "sl2tiling v1\nring: Z[a]\nkind: patched\nrows: 2\ncols: 2\n"

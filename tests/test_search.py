@@ -264,6 +264,16 @@ class TestTraversal:
         assert main(["search", "--modulus", "5", "--budget", str(budget), "--jobs", str(jobs)]) == 0
         assert capsys.readouterr() == (f"# solutions=0 nodes={budget} budget_exhausted=true\n", "")
 
+    def test_no_process_for_an_empty_budget_share(self, capsys, monkeypatch):
+        # One budgeted node for two jobs: a second worker would get none, so
+        # no pool is started at all.
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        assert main(["search", "--modulus", "5", "--budget", "1", "--jobs", "2"]) == 0
+        assert capsys.readouterr() == ("# solutions=0 nodes=1 budget_exhausted=true\n", "")
+
     def test_deep_block_needs_no_recursion(self, capsys):
         # 2400 cells, deeper than the interpreter's recursion limit; the
         # budget bounds the work.

@@ -61,6 +61,32 @@ def patched_model(spec, formal):
         {pos: v for pos, v in zip(near, (3, -1, 7, 2))}, -2))
 
 
+# Windows with a negative and with a far origin, for the sweeps below.
+SWEEP_WINDOWS = ((-4, -3, 3, 3), (600, 1234, 2, 3))
+
+
+def lattice_sweep(tables, m_max=8):
+    """Every lattice with m <= m_max over each background table, each formal,
+    default-only (-2), and with explicit values 5, -5, 3, -1 at the lattice
+    positions in and around the SWEEP_WINDOWS."""
+    for table in tables:
+        for m in range(1, m_max + 1):
+            for spec in itertools.product(range(m), range(m), [m], range(m)):
+                lat = SublatticeSpec(*spec)
+                near = [(i, j) for i0, j0, h, w in SWEEP_WINDOWS
+                        for i in range(i0 - 1, i0 + h + 1) for j in range(j0 - 1, j0 + w + 1)
+                        if lat.contains(i, j)]
+                explicit = {pos: (5, -5, 3, -1)[k % 4] for k, pos in enumerate(near)}
+                for ring, params in ((POLYNOMIALS, FormalParameters()),
+                                     (INTEGERS, NumericParameters((), -2)),
+                                     (INTEGERS, NumericParameters.from_mapping(explicit, -2))):
+                    base = RuleBased(ring, tuple(ring.value(v) for v in table))
+                    try:
+                        yield Patched(ring, base, lat, params)
+                    except ValidationError:
+                        continue
+
+
 class TestSublattice:
     def test_normalization(self):
         lat = SublatticeSpec(13, -9, 10, 26)
@@ -327,6 +353,31 @@ class TestVerify:
             assert verify_sl2(t) is None
 
 
+    def test_matches_per_kind_windows(self, catalog, wildest_formal):
+        # The argument verify_sl2 replaced: 4 window classes for a rule, one
+        # wrapped period for a block, and for a patched model its background
+        # and then the m windows of row 0 with parameters kept formal.
+        def per_kind(t):
+            if isinstance(t, RuleBased):
+                return verify_window(extract_window(t, 0, 0, 2, 5))
+            if isinstance(t, PeriodicBlock):
+                return verify_window(extract_window(t, 0, 0, t.h + 1, t.w + 1))
+            twin = tiling._formal_twin(t)
+            return per_kind(twin.base) or verify_window(extract_window(twin, 0, 0, 2, twin.lattice.m + 1))
+
+        rows = catalog["z36"].block.to_int_rows()
+        rows[0][0] = 4
+        broken = PeriodicBlock(catalog["z36"].ring, Matrix.from_ints(catalog["z36"].ring, rows))
+        models = [*catalog.values(), wildest_formal, broken]
+        models += lattice_sweep([(0, 1, 0, -1), (1, 0, -1, 0), (0, 0, 0, 1), (0, 2, 0, 3), (0, 1, 0, 1)])
+        faults = 0
+        for t in models:
+            fault = verify_sl2(t)
+            assert fault == per_kind(t), t
+            faults += fault is not None
+        assert 0 < faults < len(models)
+
+
 class TestClassification:
     def test_z36_all_wild(self, z36):
         for i in range(4):
@@ -394,6 +445,51 @@ class TestWildnessReport:
         assert rep.wild_count == 0
         flat = [c for row in rep.colors for c in row]
         assert flat.count(CellColor.ZERO_TAME) == 32
+
+    def test_matches_cell_by_cell_reference(self):
+        def reference(t, i0, j0, h, w):
+            one = t.ring.one()
+            e = t.entry
+            wild = tuple(tuple(classify_entry(t, i, j)[0] for j in range(j0, j0 + w))
+                         for i in range(i0, i0 + h))
+
+            def color(i, j):
+                v = e(i, j)
+                if wild[i - i0][j - j0]:
+                    return CellColor.ZERO_WILD
+                if t.lattice.contains(i, j) or v.constant_value() is None:
+                    return CellColor.PARAMETER
+                return {one: CellColor.PLUS_ONE, -one: CellColor.MINUS_ONE,
+                        t.ring.zero(): CellColor.ZERO_TAME}.get(v, CellColor.OTHER_NONZERO)
+
+            colors = tuple(tuple(color(i, j) for j in range(j0, j0 + w)) for i in range(i0, i0 + h))
+            d2 = {(i, j): e(i, j) * e(i + 1, j + 1) - e(i, j + 1) * e(i + 1, j)
+                  for i in range(i0, i0 + h) for j in range(j0, j0 + w)}
+            violations = tuple(tiling.Violation(i, j, v) for (i, j), v in d2.items() if v != one)
+            return wild, colors, violations
+
+        seen = set()
+        for t in lattice_sweep([(0, 1, 0, -1), (1, 0, -1, 0), (0, 0, 0, 1)]):
+            for window in SWEEP_WINDOWS:
+                rep = wildness_report(t, *window)
+                assert (rep.wild, rep.colors, rep.violations) == reference(t, *window), (t, window)
+                seen.update(c for row in rep.colors for c in row)
+                if rep.violations:
+                    seen.add("violation")
+                if not t.is_formal() and t.parameters.values:
+                    default = replace(t, parameters=NumericParameters((), -2))
+                    if rep.wild != wildness_report(default, *window).wild:
+                        seen.add("explicit values cancel")
+        assert seen == {*CellColor, "violation", "explicit values cancel"} - {CellColor.OTHER_NONZERO}
+
+    def test_det3_calls_are_the_torus(self, wildest_formal, monkeypatch):
+        # A formal 100 x 100 report computes the p*q = 10 det3s of its torus.
+        calls = []
+        det3 = matrices.det3
+        monkeypatch.setattr(matrices, "det3", lambda rows: calls.append(1) or det3(rows))
+        rep = wildness_report(wildest_formal, -37, 1234, 100, 100)
+        assert len(calls) == 10
+        assert rep.wild_count == 4000
 
     def test_violations_located(self, z36):
         rows = z36.block.to_int_rows()
