@@ -60,8 +60,16 @@ def _describe(obj) -> str:
     return f"window {obj.rows}x{obj.cols} at ({i}, {j}) over {obj.matrix.spec}"
 
 
-# verify, audit and render hold every cell of a --window in memory.
+# verify, audit and render hold every cell of a --window in memory, and the
+# search DFS every cell of its block.
 _WINDOW_CELLS = 250_000
+
+
+def _bound_cells(what: str, h: int, w: int) -> None:
+    if h * w > _WINDOW_CELLS:
+        raise UnsupportedOperationError(
+            f"{what} {h}x{w} has {h * w} cells, over the bound of {_WINDOW_CELLS}"
+        )
 
 
 def _window(args, obj) -> tuple[int, int, int, int] | None:
@@ -74,10 +82,7 @@ def _window(args, obj) -> tuple[int, int, int, int] | None:
     h, w = args.window[2:]
     if h < 1 or w < 1:
         raise ValidationError(f"window shape must be positive, got {h}x{w}")
-    if h * w > _WINDOW_CELLS:
-        raise UnsupportedOperationError(
-            f"window {h}x{w} has {h * w} cells, over the bound of {_WINDOW_CELLS}"
-        )
+    _bound_cells("window", h, w)
     return tuple(args.window)
 
 
@@ -342,16 +347,16 @@ def _cmd_search(args) -> int:
     if args.oracle:
         result = brute_force_oracle(args.modulus, args.rows, args.cols)
     else:
-        result = search_fully_wild(
-            SearchConfig(
-                args.modulus,
-                args.rows,
-                args.cols,
-                prune_nonunits=args.prune_nonunits,
-                node_budget=args.budget,
-                worker_count=args.jobs,
-            )
+        config = SearchConfig(
+            args.modulus,
+            args.rows,
+            args.cols,
+            prune_nonunits=args.prune_nonunits,
+            node_budget=args.budget,
+            worker_count=args.jobs,
         )
+        _bound_cells("block", config.rows, config.cols)
+        result = search_fully_wild(config)
     stats = {
         "nodes": result.stats.nodes,
         "solutions": result.stats.solutions,

@@ -14,6 +14,27 @@ counts as a node; the wrapped windows are checked on plain ints as soon as
 their last cell is placed.  Solutions are canonicalized by torus translation
 and reported in lexicographic order.
 
+Without a node budget the search is quotiented by unit scaling.  For a unit
+u mod N, multiplying the even columns of a block by u and the odd ones by
+u^-1 keeps every wrapped det2 when the width is even, and multiplies every
+det3 by u or u^-1, so it keeps both constraints.  For an odd width and even
+height the rows are scaled instead; when both sides are odd only the units
+with u^2 = 1 work, and they scale every cell.  The scaling sends the first
+cell x to u*x and maps every candidate set onto the scaled one (all
+residues, the non-units, the solutions of a congruence), so the subtree
+under u*x is the scaled subtree under x, node for node.  The DFS therefore
+runs once per orbit of first-cell values, from its least member; its node
+count is multiplied by the orbit's size, so ``nodes`` still counts the whole
+tree, and its solutions are mapped through one scaling to each other value
+of the orbit and canonicalized again.  Under all units, x and y share an
+orbit exactly when gcd(x, N) = gcd(y, N).  Workers take the orbits one at a
+time.  A budget cuts the traversal in candidate order, which scaling does
+not keep, so a budgeted search runs the plain traversal, worker k taking
+every workers-th first-cell value from the k-th with its share of the
+budget; its cost is bounded by the budget already.  Candidate values are
+never listed, so a budgeted search at any modulus needs no more memory than
+its block.
+
 The exhaustive oracle for cross-checking shares no code with the DFS: it
 keeps the pairs of rows whose wrapped 2x2 windows all have determinant 1,
 built column by column from a table of every 2x2 window, and walks every
@@ -25,7 +46,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, islice, product, repeat
 from math import gcd
 
 from .errors import UnsupportedOperationError, ValidationError
@@ -97,8 +118,32 @@ def canonical_block(block: Block) -> Block:
     return best
 
 
-def _nonunits(modulus: int) -> list[int]:
-    return [x for x in range(modulus) if gcd(x, modulus) != 1]
+@dataclass(frozen=True)
+class _Nonunits:
+    """The non-units mod ``modulus`` in ascending order, from the ``start``-th
+    in steps of ``step``: iterable again and again, picklable, never stored."""
+
+    modulus: int
+    start: int = 0
+    step: int = 1
+
+    def __iter__(self):
+        cells = range(self.modulus)
+        nonunits = compress(cells, map((1).__lt__, map(gcd, cells, repeat(self.modulus))))
+        return islice(nonunits, self.start, None, self.step)
+
+    def __getitem__(self, part: slice) -> _Nonunits:
+        # Only ever sliced as domain[k::workers], like a range.
+        return _Nonunits(self.modulus, self.start + part.start * self.step, self.step * part.step)
+
+
+def _scaled(block: Block, u: int, n: int, by_rows: bool) -> Block:
+    """The block with its even columns (rows when ``by_rows``) times u and its
+    odd ones times u^-1, mod n."""
+    v = pow(u, -1, n)
+    if by_rows:
+        return tuple(tuple(x * (v if i % 2 else u) % n for x in row) for i, row in enumerate(block))
+    return tuple(tuple(x * (v if j % 2 else u) % n for j, x in enumerate(row)) for row in block)
 
 
 def _dfs(part) -> tuple[tuple[Block, ...], int, bool]:
@@ -160,34 +205,67 @@ def _dfs(part) -> tuple[tuple[Block, ...], int, bool]:
     return tuple(sorted(solutions)), nodes, False
 
 
-def search_fully_wild(config: SearchConfig) -> SearchResult:
-    domain = (
-        _nonunits(config.modulus) if config.prune_nonunits else list(range(config.modulus))
-    )
-    budget = config.node_budget
-    # More workers than first-cell values or budgeted nodes would get no work.
-    workers = min(config.worker_count, len(domain), budget or len(domain))
-    # Worker k gets budget // workers nodes, one more while k < budget % workers.
-    parts = [
-        (config.modulus, config.rows, config.cols, domain[k::workers], domain,
-         None if budget is None else budget // workers + (k < budget % workers))
-        for k in range(workers)
-    ]
+def _run(parts: list, workers: int) -> list:
+    """``_dfs`` of every part, in a pool of up to ``workers`` processes."""
     if workers == 1:
-        outcomes = [_dfs(parts[0])]
-    else:
-        # Imported here: a single-worker search, and every other command,
-        # skips its start-up cost.
-        from concurrent.futures import ProcessPoolExecutor
+        return list(map(_dfs, parts))
+    # Imported here: a single-worker search, and every other command,
+    # skips its start-up cost.
+    from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
-            outcomes = list(pool.map(_dfs, parts))
+    with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
+        return list(pool.map(_dfs, parts))
+
+
+def _orbit_dfs(config: SearchConfig, domain) -> list:
+    """``_dfs`` outcomes of the first-cell values in ``domain``: one run per
+    unit orbit, from its least member, expanded to the whole orbit."""
+    n, h, w = config.modulus, config.rows, config.cols
+    if h % 2 and w % 2:
+        # Every cell times u, which keeps det2 only when u^2 = 1.
+        units = [u for u in range(1, n) if u * u % n == 1]
+        reps = [x for x in domain if x == min(u * x % n for u in units)]
+    else:
+        # Under all units, x and y share an orbit iff gcd(x, n) = gcd(y, n);
+        # its least member is that gcd, or 0 when it is n.
+        units = [u for u in range(1, n) if gcd(u, n) == 1]
+        reps = [x for x in domain if gcd(x, n) in (x, n)]
+    parts = [(n, h, w, (x,), domain, None) for x in reps]
+    by_rows = w % 2 == 1
+    outcomes = []
+    for x, (sols, nodes, _) in zip(reps, _run(parts, min(config.worker_count, len(parts)))):
+        # One scaling to each other value u*x of the orbit; the subtree under
+        # it is the scaled subtree under x.
+        scalings = {u * x % n: u for u in units}
+        del scalings[x]
+        found = {canonical_block(_scaled(block, u, n, by_rows)) for block in sols for u in scalings.values()}
+        outcomes.append((found.union(sols), nodes * (1 + len(scalings)), False))
+    return outcomes
+
+
+def search_fully_wild(config: SearchConfig) -> SearchResult:
+    n = config.modulus
+    domain = _Nonunits(n) if config.prune_nonunits else range(n)
+    budget = config.node_budget
+    if budget is None:
+        outcomes = _orbit_dfs(config, domain)
+    else:
+        # More workers than first-cell values or budgeted nodes would get no
+        # work; counting the values only up to that cap keeps it lazy.
+        workers = sum(1 for _ in islice(domain, min(config.worker_count, budget)))
+        # Worker k gets budget // workers nodes, one more while k < budget % workers.
+        parts = [
+            (n, config.rows, config.cols, domain[k::workers], domain,
+             budget // workers + (k < budget % workers))
+            for k in range(workers)
+        ]
+        outcomes = _run(parts, workers)
     merged: set[Block] = set()
     nodes = 0
     exhausted = False
-    for sols, n, ex in outcomes:
+    for sols, count, ex in outcomes:
         merged.update(sols)
-        nodes += n
+        nodes += count
         exhausted = exhausted or ex
     solutions = tuple(sorted(merged))
     return SearchResult(solutions, SearchStats(nodes, len(solutions), exhausted))

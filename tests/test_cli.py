@@ -504,6 +504,28 @@ class TestWindowBound:
             cli._window(Namespace(window=[0, 0, 500, 501]), wildest)
 
 
+    def test_search_block_bound(self, tmp_path, capsys):
+        # The DFS holds every cell of its block: 500 x 500 is accepted, one
+        # more column is refused, and 20000 x 20000 is refused in a capped
+        # subprocess before any cell is built.
+        assert main(["search", "--modulus", "2", "--rows", "500", "--cols", "500", "--budget", "10"]) == 0
+        assert capsys.readouterr() == ("# solutions=0 nodes=10 budget_exhausted=true\n", "")
+        assert main(["search", "--modulus", "2", "--rows", "500", "--cols", "501", "--budget", "10"]) == 2
+        assert capsys.readouterr() == ("", "error: block 500x501 has 250500 cells, over the bound of 250000\n")
+        proc = _python(tmp_path, "-m", "sl2tilings", "search", "--modulus", "5", "--rows", "20000",
+                       "--cols", "20000", "--budget", "1", timeout=60, preexec_fn=_cap_memory)
+        message = b"error: block 20000x20000 has 400000000 cells, over the bound of 250000\n"
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", message)
+
+    def test_budgeted_search_at_a_huge_modulus(self, tmp_path):
+        # The candidate residues are never listed: in a capped subprocess a
+        # list of 10^12 of them would fail with MemoryError.
+        for prune in ([], ["--prune-nonunits"]):
+            proc = _python(tmp_path, "-m", "sl2tilings", "search", "--modulus", str(10**12), "--budget", "10",
+                           *prune, timeout=60, preexec_fn=_cap_memory)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (
+                0, b"# solutions=0 nodes=10 budget_exhausted=true\n", b"")
+
     def test_lattice_modulus_bound(self, files, tmp_path):
         # 4 * 62,500 torus cells fit the --window bound; m = 10^12 is refused
         # at parse, in a capped subprocess so that a missing guard fails.

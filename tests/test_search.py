@@ -1,4 +1,6 @@
 import concurrent.futures
+import pickle
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -209,7 +211,9 @@ class TestSearch:
         # search imports the pool class when it needs more than one worker.
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         solo = search_fully_wild(SearchConfig(5, 2, 2))
-        for cpus, pool_size in ((64, 5), (2, 2), (None, 1)):
+        # Without a budget there is one task per unit orbit of first cells:
+        # {0} and {1, 2, 3, 4} mod 5, so at most two workers.
+        for cpus, pool_size in ((64, 2), (2, 2), (None, 1)):
             monkeypatch.setattr(sl2tilings.search.os, "cpu_count", lambda: cpus)
             multi = search_fully_wild(SearchConfig(5, 2, 2, worker_count=10_000))
             assert sizes[-1] == pool_size
@@ -279,6 +283,70 @@ class TestTraversal:
         # budget bounds the work.
         assert main(["search", "--modulus", "2", "--rows", "2", "--cols", "1200", "--budget", "5000"]) == 0
         assert capsys.readouterr() == ("# solutions=0 nodes=5000 budget_exhausted=true\n", "")
+
+
+def _scalings(block, modulus):
+    """Every unit scaling of the block, straight from its definition: for even
+    width, column j times u^((-1)^j); for odd width and even height, row i
+    likewise; for odd sides, every cell times a u with u^2 = 1."""
+    h, w = len(block), len(block[0])
+    for u in range(1, modulus):
+        if gcd(u, modulus) != 1 or (h % 2 and w % 2 and u * u % modulus != 1):
+            continue
+        v = pow(u, -1, modulus)
+        yield tuple(
+            tuple(block[i][j] * (u if (j if w % 2 == 0 else i) % 2 == 0 else v) % modulus for j in range(w))
+            for i in range(h)
+        )
+
+
+class TestUnitQuotient:
+    # (modulus, rows, cols): even x even, odd x even, even x odd and odd x odd
+    # shapes whose SL2 classes are non-empty, so the comparisons with the wild
+    # filter off see real solutions; mod 3 and 5 have a unit orbit of size 2
+    # and 4, mod 8 and 10 have several units with u^2 = 1.
+    SHAPES = [(3, 4, 4), (5, 3, 4), (5, 4, 3), (8, 3, 3), (10, 3, 3)]
+
+    @pytest.mark.parametrize(
+        "modulus, rows, cols, prune",
+        # 4x4 mod 6 is the one small case whose pruned classes are non-empty.
+        [(*shape, prune) for shape in SHAPES for prune in (False, True)] + [(6, 4, 4, True)],
+    )
+    def test_matches_plain_traversal(self, monkeypatch, modulus, rows, cols, prune):
+        monkeypatch.setattr(sl2tilings.search, "block_is_fully_wild", lambda block, n: True)
+        cells = [x for x in range(modulus) if not prune or gcd(x, modulus) != 1]
+        plain = sl2tilings.search._dfs((modulus, rows, cols, cells, cells, None))
+        quotient = search_fully_wild(SearchConfig(modulus, rows, cols, prune_nonunits=prune))
+        assert (quotient.solutions, quotient.stats.nodes, quotient.stats.budget_exhausted) == plain
+        assert quotient.solutions or prune
+
+    def test_first_cell_counts_4x4_mod5(self):
+        # The subtree under x has the size of the one under u*x: 0 alone, and
+        # 1..4 as one orbit.
+        counts = [sl2tilings.search._dfs((5, 4, 4, (x,), range(5), None))[1] for x in range(5)]
+        assert counts == [28_153] + [41_508] * 4
+        assert search_fully_wild(SearchConfig(5, 4, 4)).stats.nodes == sum(counts) == 194_185
+
+    @pytest.mark.parametrize("modulus, rows, cols", SHAPES)
+    def test_solutions_closed_under_scalings(self, monkeypatch, modulus, rows, cols):
+        monkeypatch.setattr(sl2tilings.search, "block_is_fully_wild", lambda block, n: True)
+        solutions = set(search_fully_wild(SearchConfig(modulus, rows, cols)).solutions)
+        for block in solutions:
+            for scaled in _scalings(block, modulus):
+                assert canonical_block(scaled) in solutions
+
+    def test_scalings_keep_the_z36_block_fully_wild(self):
+        images = list(_scalings(Z36_BLOCK, 36))
+        assert len(images) == 12
+        assert all(block_is_sl2(b, 36) and block_is_fully_wild(b, 36) for b in images)
+
+    def test_nonunits_are_lazy_slices(self):
+        nonunits = sl2tilings.search._Nonunits(36)
+        want = [x for x in range(36) if gcd(x, 36) != 1]
+        assert list(nonunits) == list(nonunits) == want
+        for k in range(3):
+            part = pickle.loads(pickle.dumps(nonunits[k::3]))
+            assert list(part) == want[k::3]
 
 
 class TestOracle:
