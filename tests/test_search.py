@@ -340,7 +340,7 @@ class TestUnitQuotient:
         assert len(images) == 12
         assert all(block_is_sl2(b, 36) and block_is_fully_wild(b, 36) for b in images)
 
-    def test_nonunits_are_lazy_slices(self):
+    def test_nonunits_reiterate_slice_and_pickle(self):
         nonunits = sl2tilings.search._Nonunits(36)
         want = [x for x in range(36) if gcd(x, 36) != 1]
         assert list(nonunits) == list(nonunits) == want
