@@ -23,10 +23,8 @@ puts integers in place of its parameters (``_probe_deficiency``).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import StructuralError, ValidationError
+from .errors import StructuralError, ValidationError, _Frozen
 from .matrices import Matrix, bareiss_rank
 from .rings import INTEGERS, RingValue
 from .tiling import Patched, TilingModel, Window, _torus_basis, extract_window
@@ -92,8 +90,7 @@ def canonical_block_form(win: Window) -> str:
     return min(s.translate(table) for s in map(_serialize, _images(grid)) for table in _SIGN_CHANGES)
 
 
-@dataclass(frozen=True)
-class BlockClass:
+class BlockClass(_Frozen):
     """An equivalence class of n x n blocks.
 
     ``orbit_size`` counts how many of the p*q torus windows of
@@ -101,9 +98,10 @@ class BlockClass:
     classes sum to p*q.
     """
 
-    encoding: str
-    representative: Window
-    orbit_size: int
+    __slots__ = ("encoding", "representative", "orbit_size")
+
+    def __init__(self, encoding: str, representative: Window, orbit_size: int) -> None:
+        self._assign(encoding, representative, orbit_size)
 
 
 def enumerate_block_classes(t: TilingModel, n: int) -> tuple[BlockClass, ...]:
@@ -143,17 +141,18 @@ def _corner_classes(t: TilingModel, n: int) -> tuple[BlockClass, ...]:
     return tuple(classes)
 
 
-@dataclass(frozen=True)
-class RankEntry:
-    block_class: BlockClass
-    deficiency: int
-    method: str
+class RankEntry(_Frozen):
+    __slots__ = ("block_class", "deficiency", "method")
+
+    def __init__(self, block_class: BlockClass, deficiency: int, method: str) -> None:
+        self._assign(block_class, deficiency, method)
 
 
-@dataclass(frozen=True)
-class RankReport:
-    n: int
-    entries: tuple[RankEntry, ...]
+class RankReport(_Frozen):
+    __slots__ = ("n", "entries")
+
+    def __init__(self, n: int, entries: tuple[RankEntry, ...]) -> None:
+        self._assign(n, entries)
 
 
 def _symbolic_deficiency(grid: list[list[int | str]]) -> int:
@@ -169,6 +168,8 @@ def _symbolic_deficiency(grid: list[list[int | str]]) -> int:
     an exact ``Fraction`` tableau, and stays a basis; the transversal side
     grows by one column per shortest exchange path, so its size is the rank.
     """
+    from fractions import Fraction  # here, so that importing the package skips it
+
     m = len(grid)
     # Column e < m is the identity column e, over -t_e in row e; column m + c
     # is block column c.  tableau[k] is the row of the basis column basis[k].

@@ -9,10 +9,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import ValidationError
+from .errors import ValidationError, _Frozen
 from .matrices import Matrix, det3_scan
 from .rings import INTEGERS, POLYNOMIALS, ModularRing, RingSpec
 from .tiling import (
@@ -51,23 +50,18 @@ def wildest_integer_tiling(assignment: ParameterAssignment | None = None) -> Pat
     return Patched(ring, _unit_rule(ring), WILDEST_LATTICE, assignment)
 
 
-@dataclass(frozen=True)
-class PqrsParams:
+class PqrsParams(_Frozen):
     """Integers p, q, r, s > 1 with ps - qr = 1."""
 
-    p: int
-    q: int
-    r: int
-    s: int
+    __slots__ = ("p", "q", "r", "s")
 
-    def __post_init__(self) -> None:
-        for name in ("p", "q", "r", "s"):
-            if getattr(self, name) < 2:
+    def __init__(self, p: int, q: int, r: int, s: int) -> None:
+        for name, value in zip(self.__slots__, (p, q, r, s)):
+            if value < 2:
                 raise ValidationError(f"{name} must be an integer greater than 1")
-        if self.p * self.s - self.q * self.r != 1:
-            raise ValidationError(
-                f"ps - qr must equal 1, got {self.p * self.s - self.q * self.r}"
-            )
+        if p * s - q * r != 1:
+            raise ValidationError(f"ps - qr must equal 1, got {p * s - q * r}")
+        self._assign(p, q, r, s)
 
     @property
     def modulus(self) -> int:

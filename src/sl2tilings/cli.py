@@ -8,7 +8,6 @@ that cannot be read or written.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -109,6 +108,8 @@ def _emit(doc: str, out: str | None) -> None:
 
 
 def _print_json(payload: dict) -> None:
+    import json  # here, so that text output skips its import
+
     print(json.dumps(payload, indent=2))
 
 

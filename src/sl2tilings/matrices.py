@@ -10,11 +10,10 @@ the integral domains (integers and polynomials).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Iterator, Sequence, TypeVar, Union
 
-from .errors import StructuralError, UnsupportedOperationError, ValidationError
+from .errors import StructuralError, UnsupportedOperationError, ValidationError, _Frozen
 from .rings import ModularRing, PolynomialRing, RingSpec, RingValue, divexact
 
 # Minors take ring values, or plain ints standing for values of Z or Z/N
@@ -22,14 +21,13 @@ from .rings import ModularRing, PolynomialRing, RingSpec, RingValue, divexact
 Scalar = TypeVar("Scalar", bound=Union[int, RingValue])
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(_Frozen):
     """An immutable rows x cols matrix with entries from a single ring."""
 
-    spec: RingSpec
-    rows: int
-    cols: int
-    entries: tuple[RingValue, ...]
+    __slots__ = ("spec", "rows", "cols", "entries")
+
+    def __init__(self, spec: RingSpec, rows: int, cols: int, entries: tuple[RingValue, ...]) -> None:
+        self._assign(spec, rows, cols, entries)
 
     @staticmethod
     def from_rows(spec: RingSpec, rows: Sequence[Sequence[RingValue]]) -> "Matrix":

@@ -14,7 +14,6 @@ hashable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from .errors import (
@@ -22,6 +21,8 @@ from .errors import (
     StructuralError,
     UnsupportedOperationError,
     ValidationError,
+    _Frozen,
+    _set,
 )
 
 # A monomial is a tuple of (variable index, exponent) pairs, index ascending,
@@ -131,9 +132,10 @@ def _term_str(mono: Monomial, coeff: int) -> str:
     return f"{coeff}*{factors}"
 
 
-@dataclass(frozen=True)
-class IntegerRing:
+class IntegerRing(_Frozen):
     """The ring of arbitrary-precision integers."""
+
+    __slots__ = ()
 
     def value(self, n: int) -> "RingValue":
         return RingValue(self, int(n))
@@ -147,16 +149,19 @@ class IntegerRing:
     def __str__(self) -> str:
         return "Z"
 
+    def __hash__(self) -> int:
+        return hash(())
 
-@dataclass(frozen=True)
-class ModularRing:
+
+class ModularRing(_Frozen):
     """The residue ring Z/nZ with canonical representatives in [0, n)."""
 
-    modulus: int
+    __slots__ = ("modulus",)
 
-    def __post_init__(self) -> None:
-        if self.modulus < 2:
-            raise ValidationError(f"modulus must be at least 2, got {self.modulus}")
+    def __init__(self, modulus: int) -> None:
+        if modulus < 2:
+            raise ValidationError(f"modulus must be at least 2, got {modulus}")
+        _set(self, "modulus", modulus)
 
     def value(self, n: int) -> "RingValue":
         return RingValue(self, int(n) % self.modulus)
@@ -170,14 +175,18 @@ class ModularRing:
     def __str__(self) -> str:
         return f"Z/{self.modulus}"
 
+    def __hash__(self) -> int:
+        return hash((self.modulus,))
 
-@dataclass(frozen=True)
-class PolynomialRing:
+
+class PolynomialRing(_Frozen):
     """Integer polynomials in the countable variable family a1, a2, ...
 
     Variable names are ``a`` followed by a positive decimal index; the
     family is ordered by index, a1 being the greatest in the term order.
     """
+
+    __slots__ = ()
 
     def value(self, n: int) -> "RingValue":
         n = int(n)
@@ -198,6 +207,9 @@ class PolynomialRing:
     def __str__(self) -> str:
         return "Z[a]"
 
+    def __hash__(self) -> int:
+        return hash(())
+
 
 RingSpec = Union[IntegerRing, ModularRing, PolynomialRing]
 
@@ -205,8 +217,7 @@ INTEGERS = IntegerRing()
 POLYNOMIALS = PolynomialRing()
 
 
-@dataclass(frozen=True)
-class RingValue:
+class RingValue(_Frozen):
     """An immutable element of one of the three rings.
 
     The payload is an ``int`` for integer and residue values, and a
@@ -214,8 +225,22 @@ class RingValue:
     ring objects rather than directly.
     """
 
-    spec: RingSpec
-    payload: int | Terms
+    __slots__ = ("spec", "payload")
+
+    def __init__(self, spec: RingSpec, payload: int | Terms) -> None:
+        _set(self, "spec", spec)
+        _set(self, "payload", payload)
+
+    # _Frozen's equality and hash, spelled out for speed: values are compared
+    # in the inner loops.  Every value hash hashes the ring, so the rings
+    # spell out their hashes too.
+    def __eq__(self, other):
+        if other.__class__ is RingValue:
+            return (self.spec, self.payload) == (other.spec, other.payload)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.spec, self.payload))
 
     def _require_same(self, other: "RingValue") -> None:
         if not isinstance(other, RingValue):

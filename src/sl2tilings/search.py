@@ -45,49 +45,54 @@ produced or ruled out by a failing row pair.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from itertools import compress, islice, product, repeat
 from math import gcd
 
-from .errors import UnsupportedOperationError, ValidationError
+from .errors import UnsupportedOperationError, ValidationError, _Frozen
 from .matrices import det2, det2_scan, det3_scan, solve_linear_congruence
 
 ORACLE_STATE_GUARD = 1 << 28
+# A budgeted search builds one part per worker, min(worker count, budget) of them.
+_MAX_PARTS = 10_000
 
 Block = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    modulus: int
-    rows: int = 4
-    cols: int = 4
-    prune_nonunits: bool = False
-    node_budget: int | None = None
-    worker_count: int = 1
+class SearchConfig(_Frozen):
+    __slots__ = ("modulus", "rows", "cols", "prune_nonunits", "node_budget", "worker_count")
 
-    def __post_init__(self) -> None:
-        if self.modulus < 2:
-            raise ValidationError(f"modulus must be at least 2, got {self.modulus}")
-        if self.rows < 2 or self.cols < 2:
+    def __init__(
+        self,
+        modulus: int,
+        rows: int = 4,
+        cols: int = 4,
+        prune_nonunits: bool = False,
+        node_budget: int | None = None,
+        worker_count: int = 1,
+    ) -> None:
+        if modulus < 2:
+            raise ValidationError(f"modulus must be at least 2, got {modulus}")
+        if rows < 2 or cols < 2:
             raise ValidationError("block shape must be at least 2x2")
-        if self.node_budget is not None and self.node_budget < 1:
+        if node_budget is not None and node_budget < 1:
             raise ValidationError("node budget must be positive")
-        if self.worker_count < 1:
+        if worker_count < 1:
             raise ValidationError("worker count must be positive")
+        self._assign(modulus, rows, cols, prune_nonunits, node_budget, worker_count)
 
 
-@dataclass(frozen=True)
-class SearchStats:
-    nodes: int
-    solutions: int
-    budget_exhausted: bool
+class SearchStats(_Frozen):
+    __slots__ = ("nodes", "solutions", "budget_exhausted")
+
+    def __init__(self, nodes: int, solutions: int, budget_exhausted: bool) -> None:
+        self._assign(nodes, solutions, budget_exhausted)
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    solutions: tuple[Block, ...]
-    stats: SearchStats
+class SearchResult(_Frozen):
+    __slots__ = ("solutions", "stats")
+
+    def __init__(self, solutions: tuple[Block, ...], stats: SearchStats) -> None:
+        self._assign(solutions, stats)
 
 
 def block_is_sl2(block: Block, modulus: int) -> bool:
@@ -118,14 +123,14 @@ def canonical_block(block: Block) -> Block:
     return best
 
 
-@dataclass(frozen=True)
-class _Nonunits:
+class _Nonunits(_Frozen):
     """The non-units mod ``modulus`` in ascending order, from the ``start``-th
     in steps of ``step``: iterable again and again, picklable, never stored."""
 
-    modulus: int
-    start: int = 0
-    step: int = 1
+    __slots__ = ("modulus", "start", "step")
+
+    def __init__(self, modulus: int, start: int = 0, step: int = 1) -> None:
+        self._assign(modulus, start, step)
 
     def __iter__(self):
         cells = range(self.modulus)
@@ -252,7 +257,13 @@ def search_fully_wild(config: SearchConfig) -> SearchResult:
     else:
         # More workers than first-cell values or budgeted nodes would get no
         # work; counting the values only up to that cap keeps it lazy.
-        workers = sum(1 for _ in islice(domain, min(config.worker_count, budget)))
+        cap = min(config.worker_count, budget)
+        if cap > _MAX_PARTS:
+            raise UnsupportedOperationError(
+                f"a budgeted search splits into min(workers, budget) = {cap} parts, "
+                f"over the bound of {_MAX_PARTS}"
+            )
+        workers = sum(1 for _ in islice(domain, cap))
         # Worker k gets budget // workers nodes, one more while k < budget % workers.
         parts = [
             (n, config.rows, config.cols, domain[k::workers], domain,

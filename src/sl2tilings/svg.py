@@ -7,9 +7,7 @@ white, any other nonzero grey.  Output is byte-identical across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import ValidationError
+from .errors import ValidationError, _Frozen
 from .tiling import (
     CellColor,
     Patched,
@@ -42,14 +40,13 @@ COLOR_HEX = {
 GRID_STROKE = "#888888"
 
 
-@dataclass(frozen=True)
-class RenderOptions:
-    cell_size: int = 24
-    labels: bool = False
+class RenderOptions(_Frozen):
+    __slots__ = ("cell_size", "labels")
 
-    def __post_init__(self) -> None:
-        if self.cell_size < 4:
-            raise ValidationError(f"cell size must be at least 4, got {self.cell_size}")
+    def __init__(self, cell_size: int = 24, labels: bool = False) -> None:
+        if cell_size < 4:
+            raise ValidationError(f"cell size must be at least 4, got {cell_size}")
+        self._assign(cell_size, labels)
 
 
 class UnverifiedModelError(ValueError):

@@ -19,13 +19,11 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from itertools import accumulate, count
 from math import gcd, isqrt, lcm
 from typing import Callable, Iterator, Mapping, Sequence, Union
 
-from .errors import StructuralError, UnsupportedOperationError, ValidationError
+from .errors import StructuralError, UnsupportedOperationError, ValidationError, _Frozen
 from .matrices import Matrix, corner_det3, det2_scan, det3, det3_scan
 from .rings import (
     POLYNOMIALS,
@@ -37,46 +35,38 @@ from .rings import (
 )
 
 
-@dataclass(frozen=True)
-class SublatticeSpec:
+class SublatticeSpec(_Frozen):
     """The position set {(i, j) : u*i + v*j = t (mod m)}."""
 
-    u: int
-    v: int
-    m: int
-    t: int
+    __slots__ = ("u", "v", "m", "t")
 
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValidationError(f"lattice modulus must be positive, got {self.m}")
-        object.__setattr__(self, "u", self.u % self.m)
-        object.__setattr__(self, "v", self.v % self.m)
-        object.__setattr__(self, "t", self.t % self.m)
+    def __init__(self, u: int, v: int, m: int, t: int) -> None:
+        if m < 1:
+            raise ValidationError(f"lattice modulus must be positive, got {m}")
+        self._assign(u % m, v % m, m, t % m)
 
     def contains(self, i: int, j: int) -> bool:
         return (self.u * i + self.v * j - self.t) % self.m == 0
 
 
-@dataclass(frozen=True)
-class FormalParameters:
+class FormalParameters(_Frozen):
     """Each lattice position holds a fresh variable a_k (see parameter_index)."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class NumericParameters:
+
+class NumericParameters(_Frozen):
     """Explicit nonzero integers at listed positions, a default elsewhere."""
 
-    values: tuple[tuple[tuple[int, int], int], ...]
-    default: int
-    _map: dict = field(init=False, repr=False, compare=False)
+    __slots__ = ("values", "default", "_map")
 
-    def __post_init__(self) -> None:
-        if self.default == 0:
+    def __init__(self, values: tuple[tuple[tuple[int, int], int], ...], default: int) -> None:
+        if default == 0:
             raise ValidationError("default parameter value must be nonzero")
-        for pos, v in self.values:
+        for pos, v in values:
             if v == 0:
                 raise ValidationError(f"parameter at {pos} must be nonzero")
-        object.__setattr__(self, "_map", dict(self.values))
+        self._assign(values, default, dict(values))
 
     @staticmethod
     def from_mapping(values: Mapping[tuple[int, int], int], default: int) -> "NumericParameters":
@@ -177,34 +167,32 @@ def parameter_position(lattice: SublatticeSpec, index: int) -> tuple[int, int]:
     return i, j
 
 
-@dataclass(frozen=True)
-class RuleBased:
+class RuleBased(_Frozen):
     """entry(i, j) = table[(j - i) mod 4]."""
 
-    ring: RingSpec
-    table: tuple[RingValue, RingValue, RingValue, RingValue]
+    __slots__ = ("ring", "table")
 
-    def __post_init__(self) -> None:
-        if len(self.table) != 4:
+    def __init__(self, ring: RingSpec, table: tuple[RingValue, RingValue, RingValue, RingValue]) -> None:
+        if len(table) != 4:
             raise ValidationError("rule table must have exactly 4 entries")
-        for v in self.table:
-            if not isinstance(v, RingValue) or v.spec != self.ring:
+        for v in table:
+            if not isinstance(v, RingValue) or v.spec != ring:
                 raise ValidationError("rule table entry outside the model ring")
+        self._assign(ring, table)
 
     def entry(self, i: int, j: int) -> RingValue:
         return self.table[(j - i) % 4]
 
 
-@dataclass(frozen=True)
-class PeriodicBlock:
+class PeriodicBlock(_Frozen):
     """entry(i, j) = block[i mod h][j mod w]."""
 
-    ring: RingSpec
-    block: Matrix
+    __slots__ = ("ring", "block")
 
-    def __post_init__(self) -> None:
-        if self.block.spec != self.ring:
+    def __init__(self, ring: RingSpec, block: Matrix) -> None:
+        if block.spec != ring:
             raise ValidationError("block entries outside the model ring")
+        self._assign(ring, block)
 
     @property
     def h(self) -> int:
@@ -218,8 +206,7 @@ class PeriodicBlock:
         return self.block.at(i % self.h, j % self.w)
 
 
-@dataclass(frozen=True)
-class Patched:
+class Patched(_Frozen):
     """A rule background with its sublattice zeros replaced by parameters.
 
     Construction requires the background to vanish on every lattice position,
@@ -228,32 +215,32 @@ class Patched:
     background zero and the verification below stays assignment-independent.
     """
 
-    ring: RingSpec
-    base: RuleBased
-    lattice: SublatticeSpec
-    parameters: ParameterAssignment
+    __slots__ = ("ring", "base", "lattice", "parameters")
 
-    def __post_init__(self) -> None:
-        if isinstance(self.parameters, FormalParameters):
-            if not isinstance(self.ring, PolynomialRing):
+    def __init__(
+        self, ring: RingSpec, base: RuleBased, lattice: SublatticeSpec, parameters: ParameterAssignment
+    ) -> None:
+        if isinstance(parameters, FormalParameters):
+            if not isinstance(ring, PolynomialRing):
                 raise ValidationError("formal parameters need the polynomial ring")
         else:
-            if not isinstance(self.ring, IntegerRing):
+            if not isinstance(ring, IntegerRing):
                 raise ValidationError("numeric parameters need the integer ring")
-            for pos, _ in self.parameters.values:
-                if not self.lattice.contains(*pos):
+            for pos, _ in parameters.values:
+                if not lattice.contains(*pos):
                     raise ValidationError(f"parameter position {pos} is off the sublattice")
-        if self.base.ring != self.ring:
+        if base.ring != ring:
             raise ValidationError("background ring differs from the model ring")
         # The background repeats mod 4 in j - i, so the first 4 lattice
         # columns of a row show every background value the row meets.
-        for i in range(lcm(self.lattice.m, 4)):
-            row = _lattice_row(self.lattice, i)
+        for i in range(lcm(lattice.m, 4)):
+            row = _lattice_row(lattice, i)
             for j in range(row[0], row[0] + 4 * row[1], row[1]) if row else ():
-                if not self.base.entry(i, j).is_zero():
+                if not base.entry(i, j).is_zero():
                     raise ValidationError(
                         f"background is nonzero at lattice position ({i}, {j})"
                     )
+        self._assign(ring, base, lattice, parameters)
 
     def is_formal(self) -> bool:
         return isinstance(self.parameters, FormalParameters)
@@ -269,12 +256,13 @@ class Patched:
 TilingModel = Union[RuleBased, PeriodicBlock, Patched]
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(_Frozen):
     """A finite rectangle of entries with its top-left cell's coordinates."""
 
-    matrix: Matrix
-    origin: tuple[int, int]
+    __slots__ = ("matrix", "origin")
+
+    def __init__(self, matrix: Matrix, origin: tuple[int, int]) -> None:
+        self._assign(matrix, origin)
 
     @property
     def rows(self) -> int:
@@ -296,13 +284,13 @@ def extract_window(t: TilingModel, i0: int, j0: int, h: int, w: int) -> Window:
     return Window(Matrix.from_rows(t.ring, rows), (i0, j0))
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Frozen):
     """A 2x2 window whose determinant is not 1; (i, j) is its top-left cell."""
 
-    i: int
-    j: int
-    value: RingValue
+    __slots__ = ("i", "j", "value")
+
+    def __init__(self, i: int, j: int, value: RingValue) -> None:
+        self._assign(i, j, value)
 
 
 def _minors(scan: Callable[[list], Iterator], m: Matrix) -> Iterator[RingValue]:
@@ -388,14 +376,19 @@ def _value_color(value: RingValue, wild: bool, is_parameter: bool) -> CellColor:
     return CellColor.OTHER_NONZERO
 
 
-@dataclass(frozen=True)
-class WildnessReport:
-    origin: tuple[int, int]
-    rows: int
-    cols: int
-    wild: tuple[tuple[bool, ...], ...]
-    colors: tuple[tuple[CellColor, ...], ...]
-    violations: tuple[Violation, ...]
+class WildnessReport(_Frozen):
+    __slots__ = ("origin", "rows", "cols", "wild", "colors", "violations")
+
+    def __init__(
+        self,
+        origin: tuple[int, int],
+        rows: int,
+        cols: int,
+        wild: tuple[tuple[bool, ...], ...],
+        colors: tuple[tuple[CellColor, ...], ...],
+        violations: tuple[Violation, ...],
+    ) -> None:
+        self._assign(origin, rows, cols, wild, colors, violations)
 
     @property
     def wild_count(self) -> int:
@@ -432,14 +425,16 @@ def wildness_report(t: TilingModel, i0: int, j0: int, h: int, w: int) -> Wildnes
     return WildnessReport((i0, j0), h, w, wild, colors, violations)
 
 
-@dataclass(frozen=True)
-class DensitySample:
-    radius: int
-    wild: int
-    total: int
+class DensitySample(_Frozen):
+    __slots__ = ("radius", "wild", "total")
+
+    def __init__(self, radius: int, wild: int, total: int) -> None:
+        self._assign(radius, wild, total)
 
     @property
     def ratio(self) -> Fraction:
+        from fractions import Fraction  # here, so that importing the package skips it
+
         return Fraction(self.wild, self.total) if self.total else Fraction(0)
 
 
@@ -476,7 +471,7 @@ def _wild_torus(t: TilingModel) -> tuple[tuple[tuple[bool, ...], ...], int]:
     default cannot, so the cells of _explicit_cells need their own det3."""
     p, q, c = _torus_basis(t)
     if isinstance(t, Patched) and not t.is_formal():
-        t = replace(t, parameters=NumericParameters((), t.parameters.default))
+        t = Patched(t.ring, t.base, t.lattice, NumericParameters((), t.parameters.default))
     wild = [not d3.is_zero() for _, d3 in _interior_det3s(extract_window(t, -1, -1, p + 2, q + 2))]
     return tuple(tuple(wild[r * q:(r + 1) * q]) for r in range(p)), c
 
@@ -491,6 +486,8 @@ def _explicit_cells(t: TilingModel) -> set[tuple[int, int]]:
 
 def wild_density_exact(t: TilingModel) -> Fraction:
     """Wild cells per fundamental domain of the wild torus."""
+    from fractions import Fraction  # here, as in DensitySample.ratio
+
     rows, _ = _wild_torus(t)
     return Fraction(sum(map(sum, rows)), len(rows) * len(rows[0]))
 
@@ -526,14 +523,13 @@ def wild_density_windows(t: TilingModel, radii: Sequence[int]) -> tuple[DensityS
     return tuple(samples)
 
 
-@dataclass(frozen=True)
-class AuditFinding:
+class AuditFinding(_Frozen):
     """A cell where one of the structural identities failed."""
 
-    i: int
-    j: int
-    check: str
-    detail: str
+    __slots__ = ("i", "j", "check", "detail")
+
+    def __init__(self, i: int, j: int, check: str, detail: str) -> None:
+        self._assign(i, j, check, detail)
 
 
 def _interior_det3s(win: Window):

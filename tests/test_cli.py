@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from argparse import Namespace
 from pathlib import Path
 
@@ -526,6 +527,25 @@ class TestWindowBound:
             assert (proc.returncode, proc.stdout, proc.stderr) == (
                 0, b"# solutions=0 nodes=10 budget_exhausted=true\n", b"")
 
+    def test_budgeted_part_bound(self, tmp_path, capsys):
+        # A budgeted search builds min(--jobs, --budget) parts: 10,000 pass the
+        # bound (5 first-cell values make 5 parts here); more are refused
+        # before any part is counted or built, in a capped subprocess that
+        # would otherwise fail with MemoryError after seconds.
+        assert main(["search", "--modulus", "5", "--rows", "2", "--cols", "2",
+                     "--budget", "10000", "--jobs", "10000"]) == 0
+        assert capsys.readouterr().out == "# solutions=0 nodes=275 budget_exhausted=false\n"
+        start = time.perf_counter()
+        proc = _python(tmp_path, "-m", "sl2tilings", "search", "--modulus", str(10**12), "--budget", str(10**8),
+                       "--jobs", str(10**8), timeout=60, preexec_fn=_cap_memory)
+        assert time.perf_counter() - start < 1
+        message = (b"error: a budgeted search splits into min(workers, budget) = 100000000 parts, "
+                   b"over the bound of 10000\n")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", message)
+        assert main(["search", "--modulus", "5", "--budget", "10001", "--jobs", "10001"]) == 2
+        assert capsys.readouterr().err == (
+            "error: a budgeted search splits into min(workers, budget) = 10001 parts, over the bound of 10000\n")
+
     def test_lattice_modulus_bound(self, files, tmp_path):
         # 4 * 62,500 torus cells fit the --window bound; m = 10^12 is refused
         # at parse, in a capped subprocess so that a missing guard fails.
@@ -605,6 +625,16 @@ class TestTopLevel:
         for module in ("sl2tilings", "sl2tilings.cli"):
             proc = _python(tmp_path, "-m", module, *args)
             assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected.stdout, b"")
+
+    def test_cli_import_stays_light(self, tmp_path):
+        # Against what a bare interpreter has loaded, importing the CLI adds
+        # none of these: value classes are plain slots classes, and Fraction
+        # and json are imported where they are used.
+        heavy = {"dataclasses", "inspect", "fractions", "json"}
+        code = ("import sys; bare = set(sys.modules); import sl2tilings.cli; "
+                f"print(sorted((set(sys.modules) - bare) & {heavy!r}))")
+        proc = _python(tmp_path, "-c", code)
+        assert (proc.returncode, proc.stdout) == (0, b"[]\n")
 
     def test_cli_import_leaves_numpy_unloaded(self, tmp_path):
         proc = _python(tmp_path, "-c", "import sys, sl2tilings.cli; print('numpy' in sys.modules)")

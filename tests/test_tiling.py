@@ -1,6 +1,5 @@
 import itertools
 import random
-from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 from types import SimpleNamespace
@@ -477,7 +476,7 @@ class TestWildnessReport:
                 if rep.violations:
                     seen.add("violation")
                 if not t.is_formal() and t.parameters.values:
-                    default = replace(t, parameters=NumericParameters((), -2))
+                    default = Patched(t.ring, t.base, t.lattice, NumericParameters((), -2))
                     if rep.wild != wildness_report(default, *window).wild:
                         seen.add("explicit values cancel")
         assert seen == {*CellColor, "violation", "explicit values cancel"} - {CellColor.OTHER_NONZERO}
@@ -532,7 +531,8 @@ class TestDensity:
         # (0, 4) is a zero between the parameters at (-1, 3) and (1, 5): with
         # values 5 and -5 its det3 cancels, though its class is wild.
         base = patched_model((1, 3, 8, 0), formal=False)
-        t = replace(base, parameters=NumericParameters.from_mapping({(-1, 3): 5, (1, 5): -5}, 1))
+        values = NumericParameters.from_mapping({(-1, 3): 5, (1, 5): -5}, 1)
+        t = Patched(base.ring, base.base, base.lattice, values)
         assert verify_sl2(t) is None
         assert not classify_entry(t, 0, 4)[0]
         assert wild_density_exact(t) == wild_density_exact(patched_model((1, 3, 8, 0), formal=True))
@@ -574,7 +574,7 @@ class TestDensity:
             t = patched_model((2, 2, 4, 0), formal)
             assert wild_density_exact(t) == 1
             if not formal:
-                t = replace(t, parameters=NumericParameters((), -2))
+                t = Patched(t.ring, t.base, t.lattice, NumericParameters((), -2))
             assert all(classify_entry(t, i, j)[0] for i in range(-4, 5) for j in range(-4, 5))
 
     def test_torus_matches_classify_entry(self, catalog, wildest_formal):
