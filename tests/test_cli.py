@@ -530,21 +530,22 @@ class TestWindowBound:
     def test_budgeted_part_bound(self, tmp_path, capsys):
         # A budgeted search builds min(--jobs, --budget) parts: 10,000 pass the
         # bound (5 first-cell values make 5 parts here); more are refused
-        # before any part is counted or built, in a capped subprocess that
-        # would otherwise fail with MemoryError after seconds.
+        # before any part is counted or built.  First in a capped subprocess,
+        # where a missing bound fails with MemoryError after seconds, then
+        # timed in this process, where no interpreter start adds to the time.
         assert main(["search", "--modulus", "5", "--rows", "2", "--cols", "2",
                      "--budget", "10000", "--jobs", "10000"]) == 0
         assert capsys.readouterr().out == "# solutions=0 nodes=275 budget_exhausted=false\n"
+        argv = ["search", "--modulus", str(10**12), "--budget", str(10**8), "--jobs", str(10**8)]
+        message = "error: a budgeted search splits into min(workers, budget) = {} parts, over the bound of 10000\n"
+        proc = _python(tmp_path, "-m", "sl2tilings", *argv, timeout=60, preexec_fn=_cap_memory)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", message.format(10**8).encode())
         start = time.perf_counter()
-        proc = _python(tmp_path, "-m", "sl2tilings", "search", "--modulus", str(10**12), "--budget", str(10**8),
-                       "--jobs", str(10**8), timeout=60, preexec_fn=_cap_memory)
+        assert main(argv) == 2
         assert time.perf_counter() - start < 1
-        message = (b"error: a budgeted search splits into min(workers, budget) = 100000000 parts, "
-                   b"over the bound of 10000\n")
-        assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", message)
+        assert capsys.readouterr() == ("", message.format(10**8))
         assert main(["search", "--modulus", "5", "--budget", "10001", "--jobs", "10001"]) == 2
-        assert capsys.readouterr().err == (
-            "error: a budgeted search splits into min(workers, budget) = 10001 parts, over the bound of 10000\n")
+        assert capsys.readouterr() == ("", message.format(10001))
 
     def test_lattice_modulus_bound(self, files, tmp_path):
         # 4 * 62,500 torus cells fit the --window bound; m = 10^12 is refused
