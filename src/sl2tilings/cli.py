@@ -100,17 +100,31 @@ def _write(path: str, doc: str) -> None:
         raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _emit(doc: str, out: str | None) -> None:
-    if out:
-        _write(out, doc)
-    else:
-        sys.stdout.write(doc)
-
-
 def _print_json(payload: dict) -> None:
     import json  # here, so that text output skips its import
 
     print(json.dumps(payload, indent=2))
+
+
+def _report(args, lines, **fields) -> int:
+    """Print a command's result, stated once: its frozen JSON fields under
+    --json, else its text lines, which are only formatted when printed.
+    The exit code is 0 when the result is ok, else 1."""
+    if args.json:
+        _print_json({"command": args.command, **fields})
+    else:
+        for line in lines:
+            print(line)
+    return 0 if fields["ok"] else 1
+
+
+def _class_row(block_class, deficiency=None, method=None) -> dict:
+    return {
+        "encoding": block_class.encoding,
+        "deficiency": deficiency,
+        "method": method,
+        "orbit_size": block_class.orbit_size,
+    }
 
 
 def _parse_param_list(text: str) -> tuple[dict[int, int], int]:
@@ -170,37 +184,25 @@ def _cmd_generate(args) -> int:
             )
         else:
             model = wildest_integer_tiling()
-    _emit(write_grid(model, signed=args.signed), args.out)
+    doc = write_grid(model, signed=args.signed)
+    if args.out:
+        _write(args.out, doc)
+    else:
+        sys.stdout.write(doc)
     return 0
 
 
 def _cmd_verify(args) -> int:
     obj = _load(args.file)
     window = _window(args, obj)
-    if window is not None:
-        fault = verify_window(extract_window(obj, *window))
-    elif isinstance(obj, Window):
-        fault = verify_window(obj)
+    target = obj if window is None else extract_window(obj, *window)
+    fault = verify_window(target) if isinstance(target, Window) else verify_sl2(target)
+    if fault is None:
+        violations, lines = [], ("ok: every 2x2 determinant is 1",)
     else:
-        fault = verify_sl2(obj)
-    ok = fault is None
-    if args.json:
-        violations = []
-        if fault is not None:
-            violations.append({"i": fault.i, "j": fault.j, "value": str(fault.value)})
-        _print_json(
-            {
-                "command": "verify",
-                "model": _describe(obj),
-                "ok": ok,
-                "violations": violations,
-            }
-        )
-    elif ok:
-        print("ok: every 2x2 determinant is 1")
-    else:
-        print(f"violation at ({fault.i}, {fault.j}): determinant {fault.value}")
-    return 0 if ok else 1
+        violations = [{"i": fault.i, "j": fault.j, "value": str(fault.value)}]
+        lines = (f"violation at ({fault.i}, {fault.j}): determinant {fault.value}",)
+    return _report(args, lines, model=_describe(obj), ok=fault is None, violations=violations)
 
 
 def _cmd_density(args) -> int:
@@ -212,106 +214,53 @@ def _cmd_density(args) -> int:
             radii = [int(r) for r in args.radii.split(",") if r.strip()]
         except ValueError:
             raise ValidationError(f"bad radii list {args.radii!r}") from None
-        samples = wild_density_windows(obj, radii)
-        if args.json:
-            _print_json(
-                {
-                    "command": "density",
-                    "model": _describe(obj),
-                    "ok": True,
-                    "density": {
-                        "samples": [
-                            {
-                                "radius": s.radius,
-                                "wild": s.wild,
-                                "total": s.total,
-                                "ratio": float(s.ratio),
-                            }
-                            for s in samples
-                        ]
-                    },
-                }
-            )
-        else:
-            for s in samples:
-                print(
-                    f"r={s.radius} wild={s.wild} total={s.total} ratio={float(s.ratio):.6f}"
-                )
+        samples = [
+            {"radius": s.radius, "wild": s.wild, "total": s.total, "ratio": float(s.ratio)}
+            for s in wild_density_windows(obj, radii)
+        ]
+        density = {"samples": samples}
+        lines = (
+            f"r={s['radius']} wild={s['wild']} total={s['total']} ratio={s['ratio']:.6f}"
+            for s in samples
+        )
     else:
         exact = wild_density_exact(obj)
-        if args.json:
-            _print_json(
-                {
-                    "command": "density",
-                    "model": _describe(obj),
-                    "ok": True,
-                    "density": {
-                        "exact_num": exact.numerator,
-                        "exact_den": exact.denominator,
-                    },
-                }
-            )
-        else:
-            print(f"exact wild density: {exact}")
-    return 0
+        density = {"exact_num": exact.numerator, "exact_den": exact.denominator}
+        lines = (f"exact wild density: {exact}",)
+    return _report(args, lines, model=_describe(obj), ok=True, density=density)
 
 
 def _cmd_classes(args) -> int:
     obj = _load(args.file)
     classes = enumerate_block_classes(obj, args.n)
-    if args.json:
-        _print_json(
-            {
-                "command": "classes",
-                "model": _describe(obj),
-                "ok": True,
-                "classes": [
-                    {
-                        "encoding": c.encoding,
-                        "deficiency": None,
-                        "method": None,
-                        "orbit_size": c.orbit_size,
-                    }
-                    for c in classes
-                ],
-                "stats": {"n": args.n, "count": len(classes)},
-            }
-        )
-    else:
-        print(f"n={args.n}: {len(classes)} classes")
+
+    def lines():
+        yield f"n={args.n}: {len(classes)} classes"
         for idx, c in enumerate(classes, 1):
-            print(f"class {idx} (orbit {c.orbit_size}): {c.encoding}")
-    return 0
+            yield f"class {idx} (orbit {c.orbit_size}): {c.encoding}"
+
+    return _report(
+        args, lines(), model=_describe(obj), ok=True,
+        classes=[_class_row(c) for c in classes], stats={"n": args.n, "count": len(classes)},
+    )
 
 
 def _cmd_rank(args) -> int:
     obj = _load(args.file)
     report = rank_deficiency_report(obj, args.n, mode=args.mode, seed=args.seed)
-    if args.json:
-        _print_json(
-            {
-                "command": "rank",
-                "model": _describe(obj),
-                "ok": True,
-                "classes": [
-                    {
-                        "encoding": e.block_class.encoding,
-                        "deficiency": e.deficiency,
-                        "method": e.method,
-                        "orbit_size": e.block_class.orbit_size,
-                    }
-                    for e in report.entries
-                ],
-                "stats": {"n": report.n, "count": len(report.entries)},
-            }
-        )
-    else:
-        print(f"n={report.n}: {len(report.entries)} rank entries")
+
+    def lines():
+        yield f"n={report.n}: {len(report.entries)} rank entries"
         by_class: dict[str, int] = {}
         for e in report.entries:
             idx = by_class.setdefault(e.block_class.encoding, len(by_class) + 1)
-            print(f"class {idx} [{e.method}]: deficiency {e.deficiency}")
-    return 0
+            yield f"class {idx} [{e.method}]: deficiency {e.deficiency}"
+
+    rows = [_class_row(e.block_class, e.deficiency, e.method) for e in report.entries]
+    return _report(
+        args, lines(), model=_describe(obj), ok=True,
+        classes=rows, stats={"n": report.n, "count": len(rows)},
+    )
 
 
 def _cmd_audit(args) -> int:
@@ -321,25 +270,12 @@ def _cmd_audit(args) -> int:
     i0, j0, h, w = _window(args, obj) or (0, 0, 40, 40)
     win = obj if isinstance(obj, Window) else extract_window(obj, i0 - 1, j0 - 1, h + 2, w + 2)
     findings = [f for f in audit_window(win, checks) if f is not None]
-    ok = not findings
-    if args.json:
-        _print_json(
-            {
-                "command": "audit",
-                "model": _describe(obj),
-                "ok": ok,
-                "violations": [
-                    {"i": f.i, "j": f.j, "check": f.check, "detail": f.detail}
-                    for f in findings
-                ],
-            }
-        )
-    else:
-        for f in findings:
-            print(f"{f.check} violation at ({f.i}, {f.j}): {f.detail}")
-        if ok:
-            print("ok: " + ", ".join(checks))
-    return 0 if ok else 1
+    lines = (
+        (f"{f.check} violation at ({f.i}, {f.j}): {f.detail}" for f in findings)
+        if findings else ("ok: " + ", ".join(checks),)
+    )
+    violations = [{"i": f.i, "j": f.j, "check": f.check, "detail": f.detail} for f in findings]
+    return _report(args, lines, model=_describe(obj), ok=not findings, violations=violations)
 
 
 def _cmd_search(args) -> int:
@@ -348,14 +284,8 @@ def _cmd_search(args) -> int:
     if args.oracle:
         result = brute_force_oracle(args.modulus, args.rows, args.cols)
     else:
-        config = SearchConfig(
-            args.modulus,
-            args.rows,
-            args.cols,
-            prune_nonunits=args.prune_nonunits,
-            node_budget=args.budget,
-            worker_count=args.jobs,
-        )
+        config = SearchConfig(args.modulus, args.rows, args.cols, prune_nonunits=args.prune_nonunits,
+                              node_budget=args.budget, worker_count=args.jobs)
         _bound_cells("block", config.rows, config.cols)
         result = search_fully_wild(config)
     stats = {
@@ -363,26 +293,18 @@ def _cmd_search(args) -> int:
         "solutions": result.stats.solutions,
         "budget_exhausted": result.stats.budget_exhausted,
     }
-    if args.json:
-        _print_json(
-            {
-                "command": "search",
-                "ok": True,
-                "stats": stats,
-                "solutions": [[list(row) for row in block] for block in result.solutions],
-            }
-        )
-    else:
+
+    def lines():
         ring = ModularRing(args.modulus)
         for block in result.solutions:
-            doc = write_grid(PeriodicBlock(ring, Matrix.from_ints(ring, block)))
-            sys.stdout.write(doc)
-            print()
-        print(
+            yield write_grid(PeriodicBlock(ring, Matrix.from_ints(ring, block)))
+        yield (
             f"# solutions={stats['solutions']} nodes={stats['nodes']} "
             f"budget_exhausted={str(stats['budget_exhausted']).lower()}"
         )
-    return 0
+
+    solutions = [[list(row) for row in block] for block in result.solutions]
+    return _report(args, lines(), ok=True, stats=stats, solutions=solutions)
 
 
 def _cmd_render(args) -> int:
@@ -404,58 +326,43 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("generate", help="write a catalog model as a grid document")
+    def command(name: str, func, help: str, file: bool = True) -> argparse.ArgumentParser:
+        cmd = sub.add_parser(name, help=help)
+        cmd.set_defaults(func=func)
+        if file:
+            cmd.add_argument("file")
+        return cmd
+
+    gen = command("generate", _cmd_generate, "write a catalog model as a grid document", file=False)
     gen.add_argument("family", choices=["unit", "wildest", "pqrs", "z36"])
-    gen.add_argument("--p", type=int, default=None)
-    gen.add_argument("--q", type=int, default=None)
-    gen.add_argument("--r", type=int, default=None)
-    gen.add_argument("--s", type=int, default=None)
+    for name in ("--p", "--q", "--r", "--s"):
+        gen.add_argument(name, type=int, default=None)
     gen.add_argument("--params", default=None, metavar="K=V,...",
                      help="numeric parameters by index, e.g. 1=5,3=-2,default=1")
     gen.add_argument("--formal", action="store_true")
     gen.add_argument("--signed", action="store_true",
                      help="render residues above N/2 as negatives")
     gen.add_argument("--out", default=None, metavar="FILE")
-    gen.set_defaults(func=_cmd_generate)
 
-    ver = sub.add_parser("verify", help="check every 2x2 determinant is 1")
-    ver.add_argument("file")
-    ver.add_argument("--window", nargs=4, type=int, metavar=("I0", "J0", "H", "W"))
-    ver.add_argument("--json", action="store_true")
-    ver.set_defaults(func=_cmd_verify)
+    ver = command("verify", _cmd_verify, "check every 2x2 determinant is 1")
 
-    den = sub.add_parser("density", help="wild density, exact or sampled over discs")
-    den.add_argument("file")
+    den = command("density", _cmd_density, "wild density, exact or sampled over discs")
     group = den.add_mutually_exclusive_group()
     group.add_argument("--exact", action="store_true")
     group.add_argument("--radii", default=None, metavar="R1,R2,...")
-    den.add_argument("--json", action="store_true")
-    den.set_defaults(func=_cmd_density)
 
-    cls = sub.add_parser("classes", help="equivalence classes of n x n blocks")
-    cls.add_argument("file")
-    cls.add_argument("--n", type=int, required=True)
-    cls.add_argument("--json", action="store_true")
-    cls.set_defaults(func=_cmd_classes)
-
-    rnk = sub.add_parser("rank", help="rank deficiencies of block class representatives")
-    rnk.add_argument("file")
-    rnk.add_argument("--n", type=int, required=True)
+    cls = command("classes", _cmd_classes, "equivalence classes of n x n blocks")
+    rnk = command("rank", _cmd_rank, "rank deficiencies of block class representatives")
+    for cmd in (cls, rnk):
+        cmd.add_argument("--n", type=int, required=True)
     rnk.add_argument("--mode", choices=["symbolic", "probe", "both"], default="symbolic")
     rnk.add_argument("--seed", type=int, default=0)
-    rnk.add_argument("--json", action="store_true")
-    rnk.set_defaults(func=_cmd_rank)
 
-    aud = sub.add_parser("audit", help="structural identity checks over a window")
-    aud.add_argument("file")
-    aud.add_argument("--dodgson", action="store_true")
-    aud.add_argument("--corner", action="store_true")
-    aud.add_argument("--cross", action="store_true")
-    aud.add_argument("--window", nargs=4, type=int, metavar=("I0", "J0", "H", "W"))
-    aud.add_argument("--json", action="store_true")
-    aud.set_defaults(func=_cmd_audit)
+    aud = command("audit", _cmd_audit, "structural identity checks over a window")
+    for name in ("--dodgson", "--corner", "--cross"):
+        aud.add_argument(name, action="store_true")
 
-    srch = sub.add_parser("search", help="search for fully-wild periodic blocks")
+    srch = command("search", _cmd_search, "search for fully-wild periodic blocks", file=False)
     srch.add_argument("--modulus", type=int, required=True)
     srch.add_argument("--rows", type=int, default=4)
     srch.add_argument("--cols", type=int, default=4)
@@ -464,18 +371,18 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="brute-force enumeration instead of the DFS")
     srch.add_argument("--budget", type=int, default=None)
     srch.add_argument("--jobs", type=int, default=1)
-    srch.add_argument("--json", action="store_true")
-    srch.set_defaults(func=_cmd_search)
 
-    ren = sub.add_parser("render", help="render a window to SVG")
-    ren.add_argument("file")
+    ren = command("render", _cmd_render, "render a window to SVG")
     ren.add_argument("--out", required=True, metavar="FILE.svg")
     ren.add_argument("--cell-size", type=int, default=24, metavar="PX")
     ren.add_argument("--labels", action="store_true")
     ren.add_argument("--force", action="store_true")
-    ren.add_argument("--window", nargs=4, type=int, metavar=("I0", "J0", "H", "W"))
-    ren.set_defaults(func=_cmd_render)
 
+    # Added last: --help lists each command's options in the order they are added.
+    for cmd in (ver, aud, ren):
+        cmd.add_argument("--window", nargs=4, type=int, metavar=("I0", "J0", "H", "W"))
+    for cmd in (ver, den, cls, rnk, aud, srch):
+        cmd.add_argument("--json", action="store_true")
     return parser
 
 

@@ -283,40 +283,21 @@ def _format_value(v: RingValue, signed: bool) -> str:
     return str(value)
 
 
-def _render(ring: RingSpec, kind: str, shape: tuple[int, int],
-            extra_headers: list[str], rows: list[list[str]]) -> str:
-    lines = [FORMAT_LINE, f"ring: {ring}", f"kind: {kind}",
-             f"rows: {shape[0]}", f"cols: {shape[1]}"]
-    lines.extend(extra_headers)
-    lines.append("")
-    lines.extend(" ".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
 def write_grid(obj: TilingModel | Window, signed: bool = False) -> str:
     """Canonical serialization; ``signed`` renders residues above N/2 as
     negatives for visual comparison, at the cost of canonicality."""
+    kind, headers = "periodic", []
     if isinstance(obj, RuleBased):
-        rows = [
-            [_format_value(obj.entry(i, j), signed) for j in range(4)] for i in range(4)
-        ]
-        return _render(obj.ring, "periodic", (4, 4), [], rows)
-    if isinstance(obj, PeriodicBlock):
-        rows = [
-            [_format_value(obj.block.at(i, j), signed) for j in range(obj.w)]
-            for i in range(obj.h)
-        ]
-        return _render(obj.ring, "periodic", (obj.h, obj.w), [], rows)
-    if isinstance(obj, Window):
-        rows = [
-            [_format_value(obj.at(r, c), signed) for c in range(obj.cols)]
-            for r in range(obj.rows)
-        ]
-        headers = [f"origin: {obj.origin[0]} {obj.origin[1]}"]
-        return _render(obj.matrix.spec, "window", (obj.rows, obj.cols), headers, rows)
-    if isinstance(obj, Patched):
+        matrix = Matrix.from_rows(obj.ring, [[obj.entry(i, j) for j in range(4)] for i in range(4)])
+    elif isinstance(obj, PeriodicBlock):
+        matrix = obj.block
+    elif isinstance(obj, Window):
+        kind, matrix = "window", obj.matrix
+        headers.append(f"origin: {obj.origin[0]} {obj.origin[1]}")
+    elif isinstance(obj, Patched):
+        kind, matrix = "patched", Matrix.from_rows(obj.ring, [obj.base.table])
         lat = obj.lattice
-        headers = [f"lattice: {lat.u} {lat.v} {lat.m} {lat.t}"]
+        headers.append(f"lattice: {lat.u} {lat.v} {lat.m} {lat.t}")
         if isinstance(obj.parameters, FormalParameters):
             headers.append("params: formal")
         else:
@@ -324,6 +305,11 @@ def write_grid(obj: TilingModel | Window, signed: bool = False) -> str:
             for (i, j), value in sorted(obj.parameters.values):
                 parts.append(f"{i}:{j}={value}")
             headers.append("params: " + ",".join(parts))
-        rows = [[_format_value(v, signed) for v in obj.base.table]]
-        return _render(obj.ring, "patched", (1, 4), headers, rows)
-    raise StructuralError(f"cannot serialize {type(obj).__name__}")
+    else:
+        raise StructuralError(f"cannot serialize {type(obj).__name__}")
+    lines = [FORMAT_LINE, f"ring: {matrix.spec}", f"kind: {kind}",
+             f"rows: {matrix.rows}", f"cols: {matrix.cols}", *headers, ""]
+    lines.extend(
+        " ".join(_format_value(v, signed) for v in matrix.row(i)) for i in range(matrix.rows)
+    )
+    return "\n".join(lines) + "\n"

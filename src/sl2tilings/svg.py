@@ -78,23 +78,16 @@ def render_svg(
     force: bool = False,
 ) -> str:
     opts = options or RenderOptions()
+    if not force:
+        fault = verify_window(obj) if isinstance(obj, Window) else verify_sl2(obj)
+        if fault is not None:
+            raise UnverifiedModelError(fault)
     if isinstance(obj, Window):
-        if not force:
-            fault = verify_window(obj)
-            if fault is not None:
-                raise UnverifiedModelError(fault)
-        h, w = obj.rows, obj.cols
-        colors = window_colors(obj)
-        entry, i0, j0 = obj.at, 0, 0
+        i0, j0, h, w = 0, 0, obj.rows, obj.cols
+        colors, entry = window_colors(obj), obj.at
     else:
-        if not force:
-            fault = verify_sl2(obj)
-            if fault is not None:
-                raise UnverifiedModelError(fault)
         i0, j0, h, w = region if region is not None else default_region(obj)
-        report = wildness_report(obj, i0, j0, h, w)
-        colors = report.colors
-        entry = obj.entry
+        colors, entry = wildness_report(obj, i0, j0, h, w).colors, obj.entry
     size = opts.cell_size
     width = w * size
     height = h * size

@@ -15,9 +15,12 @@ import sl2tilings
 from sl2tilings import UnsupportedOperationError, ValidationError, cli, gridio
 from sl2tilings.cli import main
 from sl2tilings.matrices import det3
+from sl2tilings.search import SearchResult, SearchStats
 
 FAILING_WINDOW = ("sl2tiling v1\nring: Z\nkind: window\nrows: 3\ncols: 5\norigin: 7 -3\n\n"
                   "0 1 1 2 2\n-1 2 0 2 2\n0 1 1 -1 2\n")
+WINDOW_DOC = "sl2tiling v1\nring: Z\nkind: window\nrows: 3\ncols: 3\norigin: 1 -2\n\n1 1 2\n1 2 5\n1 3 8\n"
+BAD_DOC = "sl2tiling v1\nring: Q\nkind: periodic\nrows: 1\ncols: 1\n\n1\n"
 EVERY_ZERO_PATCHED = ("sl2tiling v1\nring: Z[a]\nkind: patched\nrows: 1\ncols: 4\n"
                       "lattice: 2 2 4 0\nparams: formal\n\n0 1 0 -1\n")
 
@@ -53,6 +56,124 @@ RANK_BOTH_JSON_SHA256 = [
     "4cee70e409cab0d38d82b3f73e6f3cc4b709f9d2415411e8bdeaa210a52f72e4",
     "4d191248f1d221c6c854ead7ebf2654d3bf5b3a0dcf042d45a1829212e27dbab",
 ]
+
+
+# SHA-256 of (exit code, stdout, stderr, bytes of the file named by --out)
+# for each command line, run in order in a directory that holds only
+# fail.grid, win.grid and bad.grid (FAILING_WINDOW, WINDOW_DOC, BAD_DOC);
+# earlier lines write the documents later ones read.
+CLI_BYTES_SHA256 = {
+    "generate unit":
+        "ff71603b4b6766b6a40c40472b0ffc8547ea3967f8262b18e68c111cdaa100b0",
+    "generate unit --out unit.grid":
+        "0a344e1fa848eb79c68cdfa666c2a2bb9286b1b59177c1659fe8856d9acb5dbd",
+    "generate z36 --out z36.grid":
+        "a00fdb74945962e9569c2a3c7c28f8f124ab4686ca8290467d49fec38ca690c3",
+    "generate z36 --signed":
+        "5600b1cf558de398877d01082e91af87f46c79de6a4b3c60430310a5b9174500",
+    "generate wildest --out wildest.grid":
+        "9b97c3889faa33d43beb601932e7b07adcefec2112ba18766bcba39ab4be670c",
+    "generate wildest --formal --out formal.grid":
+        "39dce0d411e6cb7d7272669a0b8d8641f979f2a7f35a8e491351b11631efedb9",
+    "generate wildest --params 1=5,2=-2,default=3":
+        "88d9d405f6b56c5e6b566fb8a67199cd78d31560ee30984b2cd785a57081f0a5",
+    "generate pqrs --p 3 --q 2 --r 4 --s 3":
+        "6a290c33d9a5f54aa059b9e589c21d784e61762be8d2d354f9ed6245bd33cfda",
+    "generate pqrs --p 3 --q 2 --r 4 --s 3 --signed":
+        "752b5d677d9971332a23c57cbeae6b1fe562081b426eb68c8d558dbe1d9c5fb5",
+    "verify z36.grid":
+        "d57fc800775127fbf4b11290b8289b0bdd6711ea42da1b278631ed5dea302d89",
+    "verify z36.grid --json":
+        "16e53d8319b304e034c75191ac9f6036351b0f4fbe75286275057dc740505e79",
+    "verify wildest.grid --window 3 -4 6 7":
+        "d57fc800775127fbf4b11290b8289b0bdd6711ea42da1b278631ed5dea302d89",
+    "verify wildest.grid --window 3 -4 6 7 --json":
+        "f4e665a4a0a7dee895c29fe2f43203249a07d39542aec64d60e2365365995871",
+    "verify fail.grid":
+        "81bd19ecba5668c051f3b44f5efbdfedfd2a9a107a44529c3d1957f1b64a1cee",
+    "verify fail.grid --json":
+        "6714e1cad36f1372f15dd1f0d197b5755dcb0560b017df413886891b076f954a",
+    "density wildest.grid":
+        "1845f1766cc9810c342b01122e027388ea6ec70c5d5e513c718409ea25abefdc",
+    "density wildest.grid --json":
+        "07beb040a3b8169d3299c08d3e2f776f41672b81538deb4dba4c4bfb3d957061",
+    "density formal.grid --radii 0,1,5":
+        "d28ee45fb90d82efaa91e475053e4599c78fa2c4aaedc0cbd84d27f346907312",
+    "density formal.grid --radii 0,1,5 --json":
+        "94c5f151b6b939d45c63dc2bbf88ea0e7c6171132c3ef5b399a2c5ffc31944ce",
+    "classes formal.grid --n 3":
+        "78dec2c478eb257a7decfb250d1b0ed5ba6ec8d764491adf91107d213663cf36",
+    "classes formal.grid --n 3 --json":
+        "ef358b3e56b342cae9a216d98c4cecf0002d77983e4132d0fa5cfb07c6a725f4",
+    "rank formal.grid --n 4 --mode both":
+        "51c54071355c48b3811995a03575051905be1c7bfb9912f0709475a826b6aae5",
+    "rank formal.grid --n 4 --mode both --json":
+        "e74b9152398609f64a4e6e089c1d541168688d417e9f600805c8c16c5b54f6e4",
+    "audit wildest.grid":
+        "cf586f29765a992700ecae430dd92edb589c6f4d7dd9273568707a0f43306c0a",
+    "audit wildest.grid --json":
+        "9faa317f1c8482877ea3e391e42e67fcd1a8504b731ed8655e255f85d5a0aea7",
+    "audit formal.grid --cross --window -2 3 6 6":
+        "fd22ca02503277ea8d9102c0153747360549654a1ad1bd951404435b8d09aa17",
+    "audit fail.grid --dodgson --corner --cross":
+        "66711870380031aaf852ba22895a2265e6c66b58cd89cab39679105e2feeecf6",
+    "audit fail.grid --json":
+        "8aa82ca4d0158e1d6f3424e6d2fc773256f221d4c056201276f08b0826b70f7d",
+    "audit win.grid --cross --json":
+        "3a7aeebba90c9035226fe700a83acdea48fdf941fae993255eba97b98969d128",
+    "search --modulus 4 --rows 2 --cols 3":
+        "bf4baa0215d06bdba806e182446128c973c848fa18b8021a9a9f0d64dd005e7d",
+    "search --modulus 4 --rows 2 --cols 3 --json":
+        "f8effa3f26094c151ad77d99c43a5563d085a6be97b9ad783af1acea68872ce8",
+    "search --modulus 3 --rows 2 --cols 3 --oracle":
+        "9a280fc504ebf94bc8238465d7f3554f4a46737a4e09549b930453ef55d0760c",
+    "search --modulus 3 --rows 2 --cols 3 --oracle --json":
+        "9c3a90ed59fb808904c1faede3a865b4345e0a6eb364e8bb0f2962b3aff1f6db",
+    "search --modulus 5 --rows 3 --cols 3 --budget 100 --jobs 2 --json":
+        "195779b5dc3b834937412f3d89868839319bb4f17409dd373b894ecc45cc3ad3",
+    "search --modulus 6 --rows 2 --cols 4 --prune-nonunits":
+        "c98dc3b774c96a8a81216e5af0adbba1dd742fa6ed2206ab42df03f950b4f818",
+    "render wildest.grid --out wildest.svg":
+        "535db520d20d40ccc9006eaeb8ab379111697027676abcb6d21aa34807893a1d",
+    "render formal.grid --out formal.svg --window 1 -3 5 6 --labels --cell-size 10":
+        "d1a17cc0e8fe5398ef4236f794e02587f4406b201d5f4e1d3d8c0dc4ef80d29e",
+    "render win.grid --out win.svg --labels":
+        "e868b0a256fdc7ef582de537daf328c04d4f51db1b1ae3d89b8ab0698dda1dde",
+    "render fail.grid --out fail.svg":
+        "724b054c3106c452bb55955544a53b128e17657865ed5641d89fe8538c9c75ab",
+    "render fail.grid --out fail.svg --force":
+        "2453c6d0bb47d7881b210a038009d13b69370c1656b064c9609fed8cfcb79f91",
+    "verify missing.grid --json":
+        "b43a088323a8bbd0c8c09432618b45a54bda6bd8380d55076f4653378b3578c9",
+    "audit bad.grid":
+        "e0f93fdd5d0fa659ed0c5bb81f4f1a2fc7895eb9d300448fc959c51d0aae27c4",
+    "verify fail.grid --window 0 0 2 2 --json":
+        "d11c661e3c969e4960b3d1762eed9e496c198143326a21348aa392bfe8c93d8f",
+    "search --modulus 1":
+        "7ff630938ea5ac2cb4a3757c3025a99e78b98039487d59d0b8aa7bcb61045428",
+    "search --modulus 4 --oracle --jobs 2 --json":
+        "be331d4b1db8f115520c5e129c9871be86a97d0b2c90c07e11d92b0274e83f37",
+    "--help":
+        "f4cb654fadc5a345fb698d33f7fe560f21ad89b57499be9e310439cfeef167c9",
+    "generate --help":
+        "b7d406fde6f1b3a76e0e5e463d973fb075567f24b205d90f634f3f528a43f8bf",
+    "verify --help":
+        "4eed05cef81fbf092239ec3bef32020b7a68497ba63e31f7a47e0896f1d4ba08",
+    "density --help":
+        "1646b38b13f2b3ea1589f5871c294702ba73072e7fb99b20c8f2edb8b468a5ec",
+    "classes --help":
+        "f4d515a6010ff03ca1534a559db59e056df7ea35d5069dbe8ae9867f4855a125",
+    "rank --help":
+        "538884cf20327ec51ea6d3ee39be50587277d249536615d1a6dde1518f7b85ae",
+    "audit --help":
+        "51a47586e6053ec2cc249ccbebc586ba8bf6d025cf9e081a699fad406b53a51b",
+    "search --help":
+        "1402d9443cf3ee5dff7f60fc08c22e5806435e49fb8bb0590fbfdc8f1c0e1c4c",
+    "render --help":
+        "cec8903abbac88edbbfc68e42c4aa91aad05038c62303d4ceeeb0cbc01d43b46",
+    "classes formal.grid":
+        "815d9f534480baeda6762f6e09b004c78528433038185ecd5f6a000a7b089b5a",
+}
 
 
 def run_cli(*argv, capsys=None):
@@ -439,6 +560,26 @@ class TestSearch:
         code, _, _ = run_cli("search", capsys=capsys)
         assert code == 2
 
+    def test_json_formats_no_grid_document(self, monkeypatch, capsys):
+        # The search is stubbed to find the z36 block: --json lists it without
+        # formatting a grid document, and text mode prints that document.
+        z36 = sl2tilings.z36_tiling()
+        block = tuple(tuple(row) for row in z36.block.to_int_rows())
+        result = SearchResult((block,), SearchStats(7, 1, False))
+        monkeypatch.setattr(cli, "search_fully_wild", lambda config: result)
+
+        def refuse(obj, signed=False):
+            raise AssertionError("--json formatted a grid document")
+
+        monkeypatch.setattr(cli, "write_grid", refuse)
+        code, out, err = run_cli("search", "--modulus", "36", "--json", capsys=capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["solutions"] == [[list(row) for row in block]]
+        monkeypatch.setattr(cli, "write_grid", gridio.write_grid)
+        code, out, err = run_cli("search", "--modulus", "36", capsys=capsys)
+        assert (code, err) == (0, "")
+        assert out == gridio.write_grid(z36) + "\n# solutions=1 nodes=7 budget_exhausted=false\n"
+
 
 class TestRender:
     def test_writes_svg(self, files, capsys):
@@ -659,11 +800,38 @@ class TestTopLevel:
         assert proc.stderr.startswith(b"usage: sl2")
 
 
-def _script_entry(name):
-    import tomllib
+class TestCliBytes:
+    def test_every_command_prints_the_pinned_bytes(self, tmp_path, monkeypatch, capsys):
+        # Relative names and a fixed width keep paths and the terminal out of the bytes.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("COLUMNS", "80")
+        for name, text in (("fail.grid", FAILING_WINDOW), ("win.grid", WINDOW_DOC), ("bad.grid", BAD_DOC)):
+            Path(name).write_text(text)
+        digests = {}
+        for line in CLI_BYTES_SHA256:
+            argv = line.split()
+            code = main(argv)
+            out, err = capsys.readouterr()
+            # CPython 3.10 heads the option list of --help "optional arguments:".
+            out = out.replace("\noptional arguments:\n", "\noptions:\n")
+            written = b""
+            if "--out" in argv:
+                path = Path(argv[argv.index("--out") + 1])
+                written = path.read_bytes() if path.exists() else b"-"
+            digests[line] = hashlib.sha256(repr((code, out, err)).encode() + written).hexdigest()
+        assert digests == CLI_BYTES_SHA256
 
-    with (Path(__file__).resolve().parents[1] / "pyproject.toml").open("rb") as fh:
-        return tomllib.load(fh)["project"]["scripts"][name]
+
+def _script_entry(name):
+    """The `name = "module:attr"` line of pyproject.toml's [project.scripts]
+    table, read as text: tomllib is not in Python 3.10, the oldest supported."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    table = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    for line in table.splitlines():
+        key, sep, value = line.partition("=")
+        if sep and key.strip() == name:
+            return value.strip().strip('"')
+    raise KeyError(name)
 
 
 def _entry_point_wrapper(entry):

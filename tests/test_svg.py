@@ -103,6 +103,12 @@ class TestVerificationGate:
             render_svg(self.broken_model())
         assert "refusing to render" in str(exc.value)
         assert exc.value.violation.i == 0
+        # Verification comes before any region work: an empty region is not
+        # looked at until force skips the check.
+        with pytest.raises(UnverifiedModelError):
+            render_svg(self.broken_model(), region=(0, 0, 0, 5))
+        with pytest.raises(ValidationError):
+            render_svg(self.broken_model(), region=(0, 0, 0, 5), force=True)
 
     def test_force_override(self):
         svg = render_svg(self.broken_model(), force=True)
