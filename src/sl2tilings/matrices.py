@@ -17,7 +17,7 @@ from .errors import StructuralError, UnsupportedOperationError, ValidationError,
 from .rings import ModularRing, PolynomialRing, RingSpec, RingValue, divexact
 
 # Minors take ring values, or plain ints standing for values of Z or Z/N
-# (reduced by the caller, once per minor).
+# (reduced by the caller, once per minor, when it needs the value).
 Scalar = TypeVar("Scalar", bound=Union[int, RingValue])
 
 
@@ -39,7 +39,7 @@ class Matrix(_Frozen):
             if len(row) != width:
                 raise StructuralError("ragged rows")
             for v in row:
-                if not isinstance(v, RingValue) or v.spec != spec:
+                if not isinstance(v, RingValue) or (v.spec is not spec and v.spec != spec):
                     raise StructuralError("entry does not belong to the matrix ring")
                 flat.append(v)
         return Matrix(spec, len(rows), width, tuple(flat))
@@ -142,7 +142,7 @@ def bareiss_rank(m: Matrix) -> int:
     return rank
 
 
-def corner_det3(center: RingValue, corners: Iterable[RingValue]) -> RingValue:
+def corner_det3(center: Scalar, corners: Iterable[Scalar]) -> Scalar:
     """The 3x3 determinant of an adjacent window in terms of its center.
 
     Valid only when every edge-adjacent 2x2 minor inside the window equals 1;

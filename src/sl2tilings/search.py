@@ -54,6 +54,7 @@ from .matrices import det2, det2_scan, det3_scan, solve_linear_congruence
 ORACLE_STATE_GUARD = 1 << 28
 # A budgeted search builds one part per worker, min(worker count, budget) of them.
 _MAX_PARTS = 10_000
+_MAX_STEPS = 1 << 20
 
 Block = tuple[tuple[int, ...], ...]
 
@@ -226,6 +227,16 @@ def _orbit_dfs(config: SearchConfig, domain) -> list:
     """``_dfs`` outcomes of the first-cell values in ``domain``: one run per
     unit orbit, from its least member, expanded to the whole orbit."""
     n, h, w = config.modulus, config.rows, config.cols
+    # A lower bound on the steps: n - 1 residues walked, and from any first
+    # cell every filling of the rest of row 0 and of cell (1, 0), never
+    # pruned: |D|^w nodes, |D| taken as 1 under pruning so that n is never
+    # factored.  Powers past 2^64, over the bound already, are not built.
+    d = 1 if config.prune_nonunits else n
+    if max(n - 1, d ** min(w, 64)) > _MAX_STEPS:
+        raise UnsupportedOperationError(
+            f"an unbudgeted search walks {n - 1} residues and at least {d}^{w} DFS nodes, "
+            f"over the bound of {_MAX_STEPS} steps; pass --budget to cap the nodes"
+        )
     if h % 2 and w % 2:
         # Every cell times u, which keeps det2 only when u^2 = 1.
         units = [u for u in range(1, n) if u * u % n == 1]

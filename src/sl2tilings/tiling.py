@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left
-from itertools import accumulate, count
+from itertools import accumulate, chain, compress, count
 from math import gcd, isqrt, lcm
-from typing import Callable, Iterator, Mapping, Sequence, Union
+from operator import attrgetter
+from typing import Callable, Mapping, Sequence, Union
 
 from .errors import StructuralError, UnsupportedOperationError, ValidationError, _Frozen
 from .matrices import Matrix, corner_det3, det2_scan, det3, det3_scan
@@ -293,16 +294,17 @@ class Violation(_Frozen):
         self._assign(i, j, value)
 
 
-def _minors(scan: Callable[[list], Iterator], m: Matrix) -> Iterator[RingValue]:
-    """A minor scan of matrices.py over the rows of ``m``, as ring values.
-
-    Over Z and Z/N the scan runs on plain ints and each minor is reduced
-    once; over Z[a] it runs on the values themselves.
-    """
+def _scalars(m: Matrix) -> tuple[list[Sequence], Callable]:
+    """The rows of ``m`` as scalars for the minors of matrices.py, and
+    ``canon`` from a scalar to the payload of its value: plain ints that it
+    reduces over Z and Z/N, the values and their term tuples over Z[a].  A
+    payload is truthy exactly when its value is nonzero, and two payloads
+    are equal exactly when their values are."""
     rows = [m.row(r) for r in range(m.rows)]
     if isinstance(m.spec, PolynomialRing):
-        return scan(rows)
-    return map(m.spec.value, scan([[v.payload for v in row] for row in rows]))
+        return rows, attrgetter("payload")
+    canon = m.spec.modulus.__rmod__ if isinstance(m.spec, ModularRing) else int
+    return [[v.payload for v in row] for row in rows], canon
 
 
 def _formal_twin(t: Patched) -> Patched:
@@ -332,12 +334,13 @@ def verify_sl2(t: TilingModel) -> Violation | None:
 def verify_window(win: Window) -> Violation | None:
     """First 2x2 window lying fully inside a finite grid, row-major, whose
     determinant differs from 1."""
-    one = win.matrix.spec.one()
+    rows, canon = _scalars(win.matrix)
+    one = win.matrix.spec.one().payload
     oi, oj = win.origin
-    for k, v in enumerate(_minors(det2_scan, win.matrix)):
+    for k, v in enumerate(map(canon, det2_scan(rows))):
         if v != one:
             r, c = divmod(k, win.cols - 1)
-            return Violation(oi + r, oj + c, v)
+            return Violation(oi + r, oj + c, RingValue(win.matrix.spec, v))
     return None
 
 
@@ -376,6 +379,14 @@ def _value_color(value: RingValue, wild: bool, is_parameter: bool) -> CellColor:
     return CellColor.OTHER_NONZERO
 
 
+def _value_colors(spec: RingSpec, rows: Sequence[Sequence], canon: Callable) -> list[list[CellColor]]:
+    """The colors of rows of scalars by value alone: one _value_color per
+    distinct payload."""
+    payloads = [list(map(canon, row)) for row in rows]
+    palette = {p: _value_color(RingValue(spec, p), False, False) for p in set(chain.from_iterable(payloads))}
+    return [list(map(palette.__getitem__, row)) for row in payloads]
+
+
 class WildnessReport(_Frozen):
     __slots__ = ("origin", "rows", "cols", "wild", "colors", "violations")
 
@@ -404,25 +415,28 @@ def wildness_report(t: TilingModel, i0: int, j0: int, h: int, w: int) -> Wildnes
     """
     if h < 1 or w < 1:
         raise ValidationError(f"window shape must be positive, got {h}x{w}")
-    rows, s = _wild_torus(t)
-    p, q = len(rows), len(rows[0])
-    explicit = _explicit_cells(t)
-    wild = tuple(
-        tuple(classify_entry(t, i, j)[0] if (i, j) in explicit
-              else rows[i % p][(j - s * (i // p)) % q] for j in range(j0, j0 + w))
-        for i in range(i0, i0 + h)
-    )
+    torus, s = _wild_torus(t)
+    p, q = len(torus), len(torus[0])
+    # Row i of the region is torus row i mod p, turned by (j0 - s*(i // p)) mod q.
+    wild = [list((torus[i % p] * (w // q + 2))[(j0 - s * (i // p)) % q:][:w]) for i in range(i0, i0 + h)]
+    for i, j in _explicit_cells(t):
+        if 0 <= i - i0 < h and 0 <= j - j0 < w:
+            wild[i - i0][j - j0] = classify_entry(t, i, j)[0]
     # One (h + 1) x (w + 1) frame: the region's entries, and one det2 per cell.
     frame = extract_window(t, i0, j0, h + 1, w + 1)
-    is_param = t.lattice.contains if isinstance(t, Patched) else lambda i, j: False
-    colors = tuple(
-        tuple(_value_color(frame.at(r, c), wild[r][c], is_param(i0 + r, j0 + c)) for c in range(w))
-        for r in range(h)
-    )
-    one = t.ring.one()
-    d2s = enumerate(_minors(det2_scan, frame.matrix))
-    violations = tuple(Violation(i0 + k // w, j0 + k % w, v) for k, v in d2s if v != one)
-    return WildnessReport((i0, j0), h, w, wild, colors, violations)
+    rows, canon = _scalars(frame.matrix)
+    colors = _value_colors(t.ring, [row[:w] for row in rows[:h]], canon)
+    for i, line, flags in zip(count(i0), colors, wild):
+        # A row's lattice positions are an arithmetic progression.
+        if isinstance(t, Patched) and (lattice := _lattice_row(t.lattice, i)):
+            for c in range((lattice[0] - j0) % lattice[1], w, lattice[1]):
+                line[c] = CellColor.PARAMETER
+        for c in compress(count(), flags):
+            line[c] = CellColor.ZERO_WILD
+    one = t.ring.one().payload
+    d2s = enumerate(map(canon, det2_scan(rows)))
+    violations = tuple(Violation(i0 + k // w, j0 + k % w, RingValue(t.ring, v)) for k, v in d2s if v != one)
+    return WildnessReport((i0, j0), h, w, tuple(map(tuple, wild)), tuple(map(tuple, colors)), violations)
 
 
 class DensitySample(_Frozen):
@@ -472,7 +486,8 @@ def _wild_torus(t: TilingModel) -> tuple[tuple[tuple[bool, ...], ...], int]:
     p, q, c = _torus_basis(t)
     if isinstance(t, Patched) and not t.is_formal():
         t = Patched(t.ring, t.base, t.lattice, NumericParameters((), t.parameters.default))
-    wild = [not d3.is_zero() for _, d3 in _interior_det3s(extract_window(t, -1, -1, p + 2, q + 2))]
+    rows, canon = _scalars(extract_window(t, -1, -1, p + 2, q + 2).matrix)
+    wild = [bool(canon(d3)) for d3 in det3_scan(rows)]
     return tuple(tuple(wild[r * q:(r + 1) * q]) for r in range(p)), c
 
 
@@ -532,20 +547,15 @@ class AuditFinding(_Frozen):
         self._assign(i, j, check, detail)
 
 
-def _interior_det3s(win: Window):
-    """((r, c), det3 centered there) for every interior cell, row-major."""
-    cells = ((r, c) for r in range(1, win.rows - 1) for c in range(1, win.cols - 1))
-    return zip(cells, _minors(det3_scan, win.matrix))
-
-
 def window_colors(win: Window) -> list[list[CellColor]]:
     """Display colors of a bare window; boundary cells have no visible 3x3
     neighborhood, so only interior cells can show as wild."""
-    wild = {cell: not d3.is_zero() for cell, d3 in _interior_det3s(win)}
-    return [
-        [_value_color(win.at(r, c), wild.get((r, c), False), False) for c in range(win.cols)]
-        for r in range(win.rows)
-    ]
+    rows, canon = _scalars(win.matrix)
+    colors = _value_colors(win.matrix.spec, rows, canon)
+    inner = win.cols - 2
+    for k in compress(count(), map(canon, det3_scan(rows))):
+        colors[1 + k // inner][1 + k % inner] = CellColor.ZERO_WILD
+    return colors
 
 
 def audit_window(win: Window, checks: Sequence[str]) -> list[AuditFinding | None]:
@@ -558,29 +568,35 @@ def audit_window(win: Window, checks: Sequence[str]) -> list[AuditFinding | None
             raise ValidationError(f"unknown audit check {name!r}")
     if "cross" in checks and isinstance(win.matrix.spec, ModularRing):
         raise UnsupportedOperationError("zero-cross conditions hold over integral domains")
+    spec = win.matrix.spec
+    rows, canon = _scalars(win.matrix)
+    one, minus_one = spec.one().payload, (-spec.one()).payload
+    crosses = ((one, minus_one, one, minus_one), (minus_one, one, minus_one, one))
+
+    def value(x) -> RingValue:
+        return RingValue(spec, canon(x))
+
     oi, oj = win.origin
     found: dict[str, AuditFinding] = {}
     pending = list(dict.fromkeys(checks))
-    for (r, c), d3 in _interior_det3s(win):
-        e = win.at(r, c)
+    cells = ((r, c) for r in range(1, win.rows - 1) for c in range(1, win.cols - 1))
+    for (r, c), d3 in zip(cells, det3_scan(rows)):
+        above, row, below = rows[r - 1], rows[r], rows[r + 1]
+        e = row[c]
         for name in tuple(pending):
             hit = None
             if name == "dodgson":
-                if not (e * d3).is_zero():
-                    hit = "dodgson", f"entry {e} times det3 {d3} is nonzero"
+                if canon(e * d3):
+                    hit = "dodgson", f"entry {value(e)} times det3 {value(d3)} is nonzero"
             elif name == "corner":
-                predicted = corner_det3(
-                    e,
-                    (win.at(r - 1, c - 1), win.at(r - 1, c + 1), win.at(r + 1, c - 1), win.at(r + 1, c + 1)),
-                )
-                if d3 != predicted:
-                    hit = "corner", f"det3 {d3} but corner formula gives {predicted}"
-            elif e.is_zero():
-                n, w, ea, s = win.at(r - 1, c), win.at(r, c - 1), win.at(r, c + 1), win.at(r + 1, c)
-                plus_cross = n.is_one() and (-w).is_one() and ea.is_one() and (-s).is_one()
-                minus_cross = (-n).is_one() and w.is_one() and (-ea).is_one() and s.is_one()
-                if not (plus_cross or minus_cross):
-                    hit = "cross-pattern", f"zero with side neighbors ({n}, {w}, {ea}, {s})"
+                predicted = corner_det3(e, (above[c - 1], above[c + 1], below[c - 1], below[c + 1]))
+                if canon(d3) != canon(predicted):
+                    hit = "corner", f"det3 {value(d3)} but corner formula gives {value(predicted)}"
+            elif not canon(e):
+                sides = above[c], row[c - 1], row[c + 1], below[c]
+                if tuple(map(canon, sides)) not in crosses:
+                    named = ", ".join(str(value(v)) for v in sides)
+                    hit = "cross-pattern", f"zero with side neighbors ({named})"
             if hit:
                 found[name] = AuditFinding(oi + r, oj + c, *hit)
                 pending.remove(name)

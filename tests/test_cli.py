@@ -688,6 +688,24 @@ class TestWindowBound:
         assert main(["search", "--modulus", "5", "--budget", "10001", "--jobs", "10001"]) == 2
         assert capsys.readouterr() == ("", message.format(10001))
 
+    def test_unbudgeted_search_bound(self, tmp_path, capsys):
+        # An unbudgeted search walks N - 1 residues and, from its first cell,
+        # at least N^w nodes (1^w under pruning): over 2^20 steps it is refused
+        # before any residue is listed.  First in a capped subprocess, where
+        # a missing bound fails with MemoryError after seconds, then timed in
+        # this process.  A large prime with pruning walks 10^6 residues.
+        argv = ["search", "--modulus", str(10**9), "--rows", "2", "--cols", "2"]
+        message = ("error: an unbudgeted search walks 999999999 residues and at least 1000000000^2 DFS nodes, "
+                   "over the bound of 1048576 steps; pass --budget to cap the nodes\n")
+        proc = _python(tmp_path, "-m", "sl2tilings", *argv, timeout=60, preexec_fn=_cap_memory)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", message.encode())
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr() == ("", message)
+        assert main(["search", "--modulus", "1000003", "--rows", "2", "--cols", "2", "--prune-nonunits"]) == 0
+        assert capsys.readouterr() == ("# solutions=0 nodes=3 budget_exhausted=false\n", "")
+
     def test_lattice_modulus_bound(self, files, tmp_path):
         # 4 * 62,500 torus cells fit the --window bound; m = 10^12 is refused
         # at parse, in a capped subprocess so that a missing guard fails.

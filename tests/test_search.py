@@ -237,6 +237,19 @@ class TestSearch:
         pruned = search_fully_wild(SearchConfig(6, 2, 2, prune_nonunits=True))
         assert 0 < pruned.stats.nodes <= plain.stats.nodes
 
+    def test_unbudgeted_step_bound(self, monkeypatch):
+        # max(N - 1 residues, |D|^w nodes), |D| = N or 1 under pruning, may
+        # reach 2^20 and no more: 1024^2 and 2^20 residues pass, one more of
+        # either is refused, and so is 4x4 mod 36 (36^4 nodes).  The DFS runs
+        # are stubbed, so only the orbit walk is paid for.
+        monkeypatch.setattr(sl2tilings.search, "_run", lambda parts, workers: [((), 0, False)] * len(parts))
+        for config in (SearchConfig(1024, 3, 2), SearchConfig(2**20 + 1, 2, 2, prune_nonunits=True)):
+            assert search_fully_wild(config).stats.nodes == 0
+        for config in (SearchConfig(1025, 3, 2), SearchConfig(2**20 + 2, 2, 2, prune_nonunits=True),
+                       SearchConfig(36, 4, 4)):
+            with pytest.raises(UnsupportedOperationError, match="over the bound of 1048576 steps; pass --budget"):
+                search_fully_wild(config)
+
 
 class TestTraversal:
     # Node counts of the row-major DFS; any change to the fill order, the

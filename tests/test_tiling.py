@@ -18,11 +18,13 @@ from sl2tilings import (
     NumericParameters,
     Patched,
     PeriodicBlock,
+    RingValue,
     RuleBased,
     StructuralError,
     SublatticeSpec,
     UnsupportedOperationError,
     ValidationError,
+    Violation,
     Window,
     audit_window,
     centered_det3,
@@ -669,8 +671,9 @@ class TestAudits:
 
 
 def first_failures(win):
-    """(i, j, check) of each check's row-major first failing cell, worked out
-    cell by cell from centered_det3 and corner_det3."""
+    """(i, j, check, detail) of each check's row-major first failing cell,
+    worked out cell by cell with RingValue arithmetic: centered_det3,
+    corner_det3 and the str of values."""
     grid = SimpleNamespace(entry=win.at)
     domain = not isinstance(win.matrix.spec, ModularRing)
     first = {}
@@ -679,20 +682,40 @@ def first_failures(win):
             e, d3 = win.at(r, c), centered_det3(grid, r, c)
             corners = [win.at(r + dr, c + dc) for dr in (-1, 1) for dc in (-1, 1)]
             sides = [win.at(r - 1, c), win.at(r, c - 1), win.at(r, c + 1), win.at(r + 1, c)]
-            failed = {"corner": "corner" if d3 != corner_det3(e, corners) else None}
+            predicted = corner_det3(e, corners)
+            failed = {"corner": ("corner", f"det3 {d3} but corner formula gives {predicted}")
+                      if d3 != predicted else None}
             if not (e * d3).is_zero():
-                failed["dodgson"] = "dodgson"
+                failed["dodgson"] = "dodgson", f"entry {e} times det3 {d3} is nonzero"
             elif domain and not d3.is_zero() and not e.is_zero():
-                failed["dodgson"] = "wild-entry-nonzero"
+                failed["dodgson"] = "wild-entry-nonzero", None
             if domain and e.is_zero():
                 if [v.constant_value() for v in sides] not in ([1, -1, 1, -1], [-1, 1, -1, 1]):
-                    failed["cross"] = "cross-pattern"
+                    failed["cross"] = "cross-pattern", "zero with side neighbors ({}, {}, {}, {})".format(*sides)
                 elif not d3.is_zero() and all(v.is_zero() for v in corners):
-                    failed["cross"] = "wild-isolated"
+                    failed["cross"] = "wild-isolated", None
             for name, check in failed.items():
                 if check and name not in first:
-                    first[name] = (win.origin[0] + r, win.origin[1] + c, check)
+                    first[name] = (win.origin[0] + r, win.origin[1] + c, *check)
     return first
+
+
+def first_violation(win):
+    """verify_window's answer, cell by cell with RingValue arithmetic."""
+    one = win.matrix.spec.one()
+    for r, c in itertools.product(range(win.rows - 1), range(win.cols - 1)):
+        d2 = win.at(r, c) * win.at(r + 1, c + 1) - win.at(r, c + 1) * win.at(r + 1, c)
+        if d2 != one:
+            return Violation(win.origin[0] + r, win.origin[1] + c, d2)
+    return None
+
+
+def cell_colors(win):
+    """window_colors, cell by cell from _value_color and centered_det3."""
+    grid = SimpleNamespace(entry=win.at)
+    return [[tiling._value_color(win.at(r, c), 0 < r < win.rows - 1 and 0 < c < win.cols - 1
+                                 and not centered_det3(grid, r, c).is_zero(), False)
+             for c in range(win.cols)] for r in range(win.rows)]
 
 
 class TestAuditWindow:
@@ -708,15 +731,40 @@ class TestAuditWindow:
                     rows[r][c] = bumped
                     win = Window(Matrix.from_rows(t.ring, rows), clean.origin)
                     first = first_failures(win)
-                    seen.update(check for _, _, check in first.values())
+                    seen.update(check for _, _, check, _ in first.values())
                     for k in range(1, len(names) + 1):
                         for checks in itertools.permutations(names, k):
                             got = audit_window(win, checks)
-                            assert [f and (f.i, f.j, f.check) for f in got] == [first.get(n) for n in checks]
+                            assert [f and (f.i, f.j, f.check, f.detail) for f in got] == [first.get(n) for n in checks]
+                    # The same windows through the payload kernels of verify and colors.
+                    fault = verify_window(win)
+                    assert fault == first_violation(win)
+                    assert fault is None or fault.value.spec is t.ring
+                    assert tiling.window_colors(win) == cell_colors(win)
         # "wild-entry-nonzero" and "wild-isolated" cannot occur: e * det3 = 0
         # in a domain makes e or det3 zero, and det3 vanishes at a zero whose
         # diagonals are all zero.
         assert seen == {"dodgson", "corner", "cross-pattern"}
+
+    def test_no_ring_arithmetic_per_cell(self, wildest, z36, monkeypatch):
+        # Over Z and Z/N verify, the report and every audit check compute on
+        # payloads: RingValue arithmetic runs as often on 60x60 as on 20x20.
+        calls = []
+        for name in ("__add__", "__sub__", "__mul__", "__neg__"):
+            op = getattr(RingValue, name)
+            monkeypatch.setattr(RingValue, name, lambda *args, op=op: calls.append(op) or op(*args))
+
+        def ring_ops(t, size):
+            calls.clear()
+            win = extract_window(t, -7, 5, size, size)
+            assert verify_window(win) is None
+            assert not wildness_report(t, -7, 5, size, size).violations
+            checks = ("dodgson", "corner") if isinstance(t.ring, ModularRing) else ("dodgson", "corner", "cross")
+            assert audit_window(win, checks) == [None] * len(checks)
+            return len(calls)
+
+        for t in (wildest, z36):
+            assert ring_ops(t, 20) == ring_ops(t, 60)
 
     def test_stops_when_every_check_has_a_finding(self, monkeypatch):
         calls = []
@@ -729,7 +777,7 @@ class TestAuditWindow:
 
     def test_refusals_before_the_scan(self, z36, monkeypatch):
         win = extract_window(z36, 0, 0, 6, 6)
-        monkeypatch.setattr(tiling, "_interior_det3s", None)
+        monkeypatch.setattr(tiling, "det3_scan", None)
         with pytest.raises(UnsupportedOperationError, match="zero-cross conditions hold over integral domains"):
             audit_window(win, ["dodgson", "cross"])
         with pytest.raises(ValidationError, match="unknown audit check 'corners'"):
