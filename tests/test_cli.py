@@ -60,7 +60,8 @@ RANK_BOTH_JSON_SHA256 = [
 
 # SHA-256 of (exit code, stdout, stderr, bytes of the file named by --out)
 # for each command line, run in order in a directory that holds only
-# fail.grid, win.grid and bad.grid (FAILING_WINDOW, WINDOW_DOC, BAD_DOC);
+# fail.grid, win.grid, bad.grid and zero.grid (FAILING_WINDOW, WINDOW_DOC,
+# BAD_DOC, EVERY_ZERO_PATCHED);
 # earlier lines write the documents later ones read.
 CLI_BYTES_SHA256 = {
     "generate unit":
@@ -153,6 +154,14 @@ CLI_BYTES_SHA256 = {
         "7ff630938ea5ac2cb4a3757c3025a99e78b98039487d59d0b8aa7bcb61045428",
     "search --modulus 4 --oracle --jobs 2 --json":
         "be331d4b1db8f115520c5e129c9871be86a97d0b2c90c07e11d92b0274e83f37",
+    "verify zero.grid":
+        "8c23f9979a3b1bfc4c22e47a6946fbd86cdbd1fa332feacb2fefa3420bf59e6d",
+    "verify zero.grid --json":
+        "cc8fb8ac53596afe0b60e43b24087ef99624c95354770f7dfe10766f90ad8d70",
+    "audit zero.grid --window 0 0 4 4 --json":
+        "86d3c6e39c10be5d53da5fc28210e615e6ca7a97d7027300c1b29c3f361a928c",
+    "render zero.grid --out zero.svg --force --labels --window 0 0 3 3":
+        "f16df7a19f1d8c3eb7494044376448c60adcaa54721063c213cf179489e65a93",
     "--help":
         "f4cb654fadc5a345fb698d33f7fe560f21ad89b57499be9e310439cfeef167c9",
     "generate --help":
@@ -823,7 +832,8 @@ class TestCliBytes:
         # Relative names and a fixed width keep paths and the terminal out of the bytes.
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("COLUMNS", "80")
-        for name, text in (("fail.grid", FAILING_WINDOW), ("win.grid", WINDOW_DOC), ("bad.grid", BAD_DOC)):
+        for name, text in (("fail.grid", FAILING_WINDOW), ("win.grid", WINDOW_DOC), ("bad.grid", BAD_DOC),
+                           ("zero.grid", EVERY_ZERO_PATCHED)):
             Path(name).write_text(text)
         digests = {}
         for line in CLI_BYTES_SHA256:
