@@ -262,21 +262,12 @@ def parse_grid(text: str) -> TilingModel | Window:
 
 def _format_value(v: RingValue, signed: bool) -> str:
     if isinstance(v.spec, PolynomialRing):
-        if not v.payload:
-            return "0"
+        # A constant or a multiple of one variable prints as its token.
         if len(v.payload) > 1:
             raise StructuralError(f"no token form for the multi-term polynomial {v}")
-        [(mono, coeff)] = v.payload
-        if not mono:
-            return str(coeff)
-        if len(mono) > 1 or mono[0][1] != 1:
+        if v.payload and sum(e for _, e in v.payload[0][0]) > 1:
             raise StructuralError(f"no token form for the nonlinear term {v}")
-        var = f"a{mono[0][0]}"
-        if coeff == 1:
-            return var
-        if coeff == -1:
-            return "-" + var
-        return f"{coeff}*{var}"
+        return str(v)
     value = v.payload
     if signed and isinstance(v.spec, ModularRing) and value > v.spec.modulus // 2:
         value -= v.spec.modulus

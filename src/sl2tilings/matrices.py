@@ -1,7 +1,7 @@
 """Small exact matrices and the linear algebra the tilings need.
 
 Determinants of order 2 and 3 are expanded directly and work over any of
-the entry rings, and on plain ints.  The two neighbourhood scans, every
+the entry rings, and on bare payloads.  The two neighbourhood scans, every
 adjacent 2x2 minor and every centered 3x3 minor of a rectangular frame, are
 built on them.  Ranks use fraction-free Bareiss elimination, which stays
 inside the ring but requires exact division and is therefore restricted to
@@ -11,14 +11,15 @@ the integral domains (integers and polynomials).
 from __future__ import annotations
 
 from math import gcd
-from typing import Iterable, Iterator, Sequence, TypeVar, Union
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 from .errors import StructuralError, UnsupportedOperationError, ValidationError, _Frozen
-from .rings import ModularRing, PolynomialRing, RingSpec, RingValue, divexact
+from .rings import ModularRing, PolynomialRing, RingSpec, RingValue
 
-# Minors take ring values, or plain ints standing for values of Z or Z/N
-# (reduced by the caller, once per minor, when it needs the value).
-Scalar = TypeVar("Scalar", bound=Union[int, RingValue])
+# Minors take ring values, or bare payloads of any ring (ints, or _Poly term
+# tuples), reduced by the caller with the ring's ``reduce``, once per minor,
+# when it needs the value.
+Scalar = TypeVar("Scalar")
 
 
 class Matrix(_Frozen):
@@ -101,14 +102,14 @@ def bareiss_rank(m: Matrix) -> int:
     Full pivoting: each step picks the first not-yet-used row/column position
     holding a nonzero entry with the fewest terms, scanning row-major.  The
     tie-break keeps pivots small (constants beat polynomials) and makes the
-    elimination deterministic.  Over Z the elimination runs on plain ints,
-    where every nonzero entry has one term; over Z[a] on the values.
+    elimination deterministic.  The elimination runs on the payloads, whose
+    ``//`` divides exactly; a nonzero integer counts as one term.
     """
     if isinstance(m.spec, ModularRing):
         raise UnsupportedOperationError("rank over residue rings is not supported")
     poly = isinstance(m.spec, PolynomialRing)
-    a = [list(m.row(i)) if poly else [v.payload for v in m.row(i)] for i in range(m.rows)]
-    zero, prev = (m.spec.zero(), m.spec.one()) if poly else (0, 1)
+    a = [[v.payload for v in m.row(i)] for i in range(m.rows)]
+    prev = m.spec.one().payload
     live_rows = list(range(m.rows))
     live_cols = list(range(m.cols))
     rank = 0
@@ -117,9 +118,9 @@ def bareiss_rank(m: Matrix) -> int:
         best_cost = None
         for ri, i in enumerate(live_rows):
             for ci, j in enumerate(live_cols):
-                if a[i][j] == zero:
+                if not a[i][j]:
                     continue
-                cost = len(a[i][j].payload) if poly else 1
+                cost = len(a[i][j]) if poly else 1
                 if best_cost is None or cost < best_cost:
                     best, best_cost = (ri, ci), cost
             if best_cost == 1:
@@ -136,7 +137,7 @@ def bareiss_rank(m: Matrix) -> int:
             f = row[pj]
             for j in live_cols:
                 num = pivot * row[j] - f * pivot_row[j]
-                row[j] = divexact(num, prev) if poly else num // prev
+                row[j] = num // prev
         prev = pivot
         rank += 1
     return rank

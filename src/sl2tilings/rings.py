@@ -5,7 +5,13 @@
 * ``PolynomialRing()`` is the ring of integer polynomials in the variable
   family ``a1, a2, a3, ...``.
 
-Polynomial values are kept canonical at all times: coefficients are
+A value's payload computes with ``+``, ``-`` and ``*`` on its own: an int
+over Z and Z/N, a ``_Poly`` term tuple over Z[a].  Each ring's ``reduce``
+takes the result of such an operation to the canonical payload, ``int`` over
+Z, ``x % n`` over Z/n and the identity over Z[a], so an analysis can compute
+on bare payloads and reduce once per result.
+
+Polynomial payloads are kept canonical at all times: coefficients are
 arbitrary-precision integers, zero coefficients are never stored, and terms
 are sorted in graded-lexicographic order with ``a1 > a2 > ...``.  Structural
 equality therefore coincides with mathematical equality, and values are
@@ -19,7 +25,6 @@ from typing import Union
 from .errors import (
     RingMismatchError,
     StructuralError,
-    UnsupportedOperationError,
     ValidationError,
     _Frozen,
     _set,
@@ -28,8 +33,6 @@ from .errors import (
 # A monomial is a tuple of (variable index, exponent) pairs, index ascending,
 # every exponent >= 1.  The empty tuple is the constant monomial.
 Monomial = tuple[tuple[int, int], ...]
-# Terms are (monomial, coefficient) pairs sorted leading-first.
-Terms = tuple[tuple[Monomial, int], ...]
 
 _CONST: Monomial = ()
 
@@ -39,10 +42,10 @@ def _grlex_key(mono: Monomial):
     return (degree, tuple((-i, e) for i, e in mono))
 
 
-def _canonical_terms(acc: dict[Monomial, int]) -> Terms:
+def _canonical_terms(acc: dict[Monomial, int]) -> "_Poly":
     items = [(m, c) for m, c in acc.items() if c != 0]
     items.sort(key=lambda t: _grlex_key(t[0]), reverse=True)
-    return tuple(items)
+    return _Poly(items)
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -70,72 +73,74 @@ def _mono_divide(a: Monomial, b: Monomial) -> Monomial | None:
     return tuple(sorted(exps.items()))
 
 
-def _poly_add(x: Terms, y: Terms) -> Terms:
-    acc = dict(x)
-    for m, c in y:
-        acc[m] = acc.get(m, 0) + c
-    return _canonical_terms(acc)
+class _Poly(tuple):
+    """A canonical term tuple that computes: ``+``, ``-``, ``*`` and exact
+    ``//`` act on it as on the polynomial it stands for, so a Z[a] payload
+    computes like an int.  It equals, hashes and prints with ``repr`` as the
+    plain term tuple."""
 
+    __slots__ = ()
 
-def _poly_neg(x: Terms) -> Terms:
-    return tuple((m, -c) for m, c in x)
+    def __add__(x, y: "_Poly") -> "_Poly":
+        acc = dict(x)
+        for m, c in y:
+            acc[m] = acc.get(m, 0) + c
+        return _canonical_terms(acc)
 
+    def __neg__(x) -> "_Poly":
+        return _Poly((m, -c) for m, c in x)
 
-def _poly_mul(x: Terms, y: Terms) -> Terms:
-    acc: dict[Monomial, int] = {}
-    for mx, cx in x:
-        for my, cy in y:
-            m = _mono_mul(mx, my)
-            acc[m] = acc.get(m, 0) + cx * cy
-    return _canonical_terms(acc)
+    def __sub__(x, y: "_Poly") -> "_Poly":
+        return x + -y
 
+    def __mul__(x, y: "_Poly") -> "_Poly":
+        acc: dict[Monomial, int] = {}
+        for mx, cx in x:
+            for my, cy in y:
+                m = _mono_mul(mx, my)
+                acc[m] = acc.get(m, 0) + cx * cy
+        return _canonical_terms(acc)
 
-def _poly_divexact(num: Terms, den: Terms) -> Terms:
-    """Exact division of canonical term tuples.
+    def __floordiv__(num, den: "_Poly") -> "_Poly":
+        """Exact division, as fraction-free elimination needs it.  Raises
+        ArithmeticError when the division is not exact, which signals a
+        broken invariant upstream."""
+        if not den:
+            raise ZeroDivisionError("polynomial division by zero")
+        den_mono, den_coeff = den[0]
+        rest: dict[Monomial, int] = dict(num)
+        quotient: dict[Monomial, int] = {}
+        while rest:
+            lead = max(rest, key=_grlex_key)
+            q_mono = _mono_divide(lead, den_mono)
+            q_coeff, rem = divmod(rest[lead], den_coeff)
+            if q_mono is None or rem != 0:
+                raise ArithmeticError("inexact polynomial division")
+            quotient[q_mono] = quotient.get(q_mono, 0) + q_coeff
+            for m, c in den:
+                key = _mono_mul(q_mono, m)
+                val = rest.get(key, 0) - q_coeff * c
+                if val:
+                    rest[key] = val
+                elif key in rest:
+                    del rest[key]
+        return _canonical_terms(quotient)
 
-    Used by fraction-free elimination, where divisibility is guaranteed.
-    Raises ArithmeticError when the division is not exact, which signals a
-    broken invariant upstream.
-    """
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    den_mono, den_coeff = den[0]
-    rest: dict[Monomial, int] = dict(num)
-    quotient: dict[Monomial, int] = {}
-    while rest:
-        lead = max(rest, key=_grlex_key)
-        q_mono = _mono_divide(lead, den_mono)
-        q_coeff, rem = divmod(rest[lead], den_coeff)
-        if q_mono is None or rem != 0:
-            raise ArithmeticError("inexact polynomial division")
-        quotient[q_mono] = quotient.get(q_mono, 0) + q_coeff
-        for m, c in den:
-            key = _mono_mul(q_mono, m)
-            val = rest.get(key, 0) - q_coeff * c
-            if val:
-                rest[key] = val
-            elif key in rest:
-                del rest[key]
-    return _canonical_terms(quotient)
-
-
-def _term_str(mono: Monomial, coeff: int) -> str:
-    if not mono:
-        return str(coeff)
-    factors = "*".join(
-        f"a{i}" if e == 1 else f"a{i}^{e}" for i, e in mono
-    )
-    if coeff == 1:
-        return factors
-    if coeff == -1:
-        return "-" + factors
-    return f"{coeff}*{factors}"
+    def __str__(self) -> str:
+        out = ""
+        for mono, coeff in self:
+            factors = "*".join(f"a{i}" if e == 1 else f"a{i}^{e}" for i, e in mono)
+            size = str(abs(coeff)) if not mono else factors if abs(coeff) == 1 else f"{abs(coeff)}*{factors}"
+            sign = "-" if coeff < 0 else ""
+            out += f" {sign or '+'} {size}" if out else sign + size
+        return out or "0"
 
 
 class IntegerRing(_Frozen):
     """The ring of arbitrary-precision integers."""
 
     __slots__ = ()
+    reduce = staticmethod(int)
 
     def value(self, n: int) -> "RingValue":
         return RingValue(self, int(n))
@@ -166,6 +171,9 @@ class ModularRing(_Frozen):
     def value(self, n: int) -> "RingValue":
         return RingValue(self, int(n) % self.modulus)
 
+    def reduce(self, x: int) -> int:
+        return x % self.modulus
+
     def zero(self) -> "RingValue":
         return self.value(0)
 
@@ -190,8 +198,10 @@ class PolynomialRing(_Frozen):
 
     def value(self, n: int) -> "RingValue":
         n = int(n)
-        terms: Terms = ((_CONST, n),) if n else ()
-        return RingValue(self, terms)
+        return RingValue(self, _Poly(((_CONST, n),) if n else ()))
+
+    def reduce(self, x: "_Poly") -> "_Poly":
+        return x
 
     def zero(self) -> "RingValue":
         return self.value(0)
@@ -202,7 +212,7 @@ class PolynomialRing(_Frozen):
     def variable(self, index: int) -> "RingValue":
         if index < 1:
             raise ValidationError(f"variable index must be positive, got {index}")
-        return RingValue(self, (((((index, 1),)), 1),))
+        return RingValue(self, _Poly((((((index, 1),)), 1),)))
 
     def __str__(self) -> str:
         return "Z[a]"
@@ -221,13 +231,15 @@ class RingValue(_Frozen):
     """An immutable element of one of the three rings.
 
     The payload is an ``int`` for integer and residue values, and a
-    canonical term tuple for polynomials.  Construct values through the
-    ring objects rather than directly.
+    canonical term tuple (a ``_Poly``) for polynomials; either computes with
+    the operators, and the ring's ``reduce`` brings a result back to its
+    canonical payload.  Construct values through the ring objects rather
+    than directly.
     """
 
     __slots__ = ("spec", "payload")
 
-    def __init__(self, spec: RingSpec, payload: int | Terms) -> None:
+    def __init__(self, spec: RingSpec, payload: int | _Poly) -> None:
         _set(self, "spec", spec)
         _set(self, "payload", payload)
 
@@ -249,40 +261,25 @@ class RingValue(_Frozen):
             raise RingMismatchError(f"mixed rings: {self.spec} and {other.spec}")
 
     def is_zero(self) -> bool:
-        if isinstance(self.spec, PolynomialRing):
-            return not self.payload
-        return self.payload == 0
+        return not self.payload
 
     def is_one(self) -> bool:
-        if isinstance(self.spec, PolynomialRing):
-            return self.payload == ((_CONST, 1),)
-        return self.payload == 1
+        return self == self.spec.one()
 
     def __add__(self, other: "RingValue") -> "RingValue":
         self._require_same(other)
-        if isinstance(self.spec, PolynomialRing):
-            return RingValue(self.spec, _poly_add(self.payload, other.payload))
-        if isinstance(self.spec, ModularRing):
-            return RingValue(self.spec, (self.payload + other.payload) % self.spec.modulus)
-        return RingValue(self.spec, self.payload + other.payload)
+        return RingValue(self.spec, self.spec.reduce(self.payload + other.payload))
 
     def __sub__(self, other: "RingValue") -> "RingValue":
-        return self + (-other)
+        self._require_same(other)
+        return RingValue(self.spec, self.spec.reduce(self.payload - other.payload))
 
     def __neg__(self) -> "RingValue":
-        if isinstance(self.spec, PolynomialRing):
-            return RingValue(self.spec, _poly_neg(self.payload))
-        if isinstance(self.spec, ModularRing):
-            return RingValue(self.spec, (-self.payload) % self.spec.modulus)
-        return RingValue(self.spec, -self.payload)
+        return RingValue(self.spec, self.spec.reduce(-self.payload))
 
     def __mul__(self, other: "RingValue") -> "RingValue":
         self._require_same(other)
-        if isinstance(self.spec, PolynomialRing):
-            return RingValue(self.spec, _poly_mul(self.payload, other.payload))
-        if isinstance(self.spec, ModularRing):
-            return RingValue(self.spec, (self.payload * other.payload) % self.spec.modulus)
-        return RingValue(self.spec, self.payload * other.payload)
+        return RingValue(self.spec, self.spec.reduce(self.payload * other.payload))
 
     def constant_value(self) -> int | None:
         """The integer this value equals, or None for a non-constant polynomial."""
@@ -306,28 +303,4 @@ class RingValue(_Frozen):
         return None
 
     def __str__(self) -> str:
-        if isinstance(self.spec, PolynomialRing):
-            if not self.payload:
-                return "0"
-            parts = [_term_str(m, c) for m, c in self.payload]
-            out = parts[0]
-            for p in parts[1:]:
-                out += " - " + p[1:] if p.startswith("-") else " + " + p
-            return out
         return str(self.payload)
-
-
-def divexact(x: RingValue, y: RingValue) -> RingValue:
-    """Exact division, defined only over the integral domains."""
-    x._require_same(y)
-    if isinstance(x.spec, ModularRing):
-        raise UnsupportedOperationError("exact division is not defined over residue rings")
-    if isinstance(x.spec, PolynomialRing):
-        return RingValue(x.spec, _poly_divexact(x.payload, y.payload))
-    if y.payload == 0:
-        raise ZeroDivisionError("division by zero")
-    q, r = divmod(x.payload, y.payload)
-    if r != 0:
-        raise ArithmeticError(f"inexact integer division {x.payload} / {y.payload}")
-    return RingValue(x.spec, q)
-

@@ -21,8 +21,7 @@ import enum
 from bisect import bisect_left
 from itertools import accumulate, chain, compress, count
 from math import gcd, isqrt, lcm
-from operator import attrgetter
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
 from .errors import StructuralError, UnsupportedOperationError, ValidationError, _Frozen
 from .matrices import Matrix, corner_det3, det2_scan, det3, det3_scan
@@ -294,17 +293,21 @@ class Violation(_Frozen):
         self._assign(i, j, value)
 
 
-def _scalars(m: Matrix) -> tuple[list[Sequence], Callable]:
-    """The rows of ``m`` as scalars for the minors of matrices.py, and
-    ``canon`` from a scalar to the payload of its value: plain ints that it
-    reduces over Z and Z/N, the values and their term tuples over Z[a].  A
-    payload is truthy exactly when its value is nonzero, and two payloads
-    are equal exactly when their values are."""
-    rows = [m.row(r) for r in range(m.rows)]
-    if isinstance(m.spec, PolynomialRing):
-        return rows, attrgetter("payload")
-    canon = m.spec.modulus.__rmod__ if isinstance(m.spec, ModularRing) else int
-    return [[v.payload for v in row] for row in rows], canon
+def _scalars(m: Matrix) -> tuple[list[list], Callable]:
+    """The rows of ``m`` as payloads for the minors of matrices.py, and the
+    ring's ``reduce``, which takes a payload computed from them to the
+    payload of its value.  A reduced payload is truthy exactly when its
+    value is nonzero, and two are equal exactly when their values are."""
+    return [[v.payload for v in m.row(r)] for r in range(m.rows)], m.spec.reduce
+
+
+def _det2_faults(spec: RingSpec, origin: tuple[int, int], rows: list, reduce: Callable) -> Iterator[Violation]:
+    """A Violation for every adjacent 2x2 window of the payload rows whose
+    determinant is not 1, row-major; ``origin`` is the cell of rows[0][0]."""
+    one, (oi, oj), w = spec.one().payload, origin, len(rows[0]) - 1
+    for k, v in enumerate(map(reduce, det2_scan(rows))):
+        if v != one:
+            yield Violation(oi + k // w, oj + k % w, RingValue(spec, v))
 
 
 def _formal_twin(t: Patched) -> Patched:
@@ -334,14 +337,7 @@ def verify_sl2(t: TilingModel) -> Violation | None:
 def verify_window(win: Window) -> Violation | None:
     """First 2x2 window lying fully inside a finite grid, row-major, whose
     determinant differs from 1."""
-    rows, canon = _scalars(win.matrix)
-    one = win.matrix.spec.one().payload
-    oi, oj = win.origin
-    for k, v in enumerate(map(canon, det2_scan(rows))):
-        if v != one:
-            r, c = divmod(k, win.cols - 1)
-            return Violation(oi + r, oj + c, RingValue(win.matrix.spec, v))
-    return None
+    return next(_det2_faults(win.matrix.spec, win.origin, *_scalars(win.matrix)), None)
 
 
 def centered_det3(t: TilingModel, i: int, j: int) -> RingValue:
@@ -379,10 +375,10 @@ def _value_color(value: RingValue, wild: bool, is_parameter: bool) -> CellColor:
     return CellColor.OTHER_NONZERO
 
 
-def _value_colors(spec: RingSpec, rows: Sequence[Sequence], canon: Callable) -> list[list[CellColor]]:
-    """The colors of rows of scalars by value alone: one _value_color per
+def _value_colors(spec: RingSpec, rows: Sequence[Sequence], reduce: Callable) -> list[list[CellColor]]:
+    """The colors of rows of payloads by value alone: one _value_color per
     distinct payload."""
-    payloads = [list(map(canon, row)) for row in rows]
+    payloads = [list(map(reduce, row)) for row in rows]
     palette = {p: _value_color(RingValue(spec, p), False, False) for p in set(chain.from_iterable(payloads))}
     return [list(map(palette.__getitem__, row)) for row in payloads]
 
@@ -424,8 +420,8 @@ def wildness_report(t: TilingModel, i0: int, j0: int, h: int, w: int) -> Wildnes
             wild[i - i0][j - j0] = classify_entry(t, i, j)[0]
     # One (h + 1) x (w + 1) frame: the region's entries, and one det2 per cell.
     frame = extract_window(t, i0, j0, h + 1, w + 1)
-    rows, canon = _scalars(frame.matrix)
-    colors = _value_colors(t.ring, [row[:w] for row in rows[:h]], canon)
+    rows, reduce = _scalars(frame.matrix)
+    colors = _value_colors(t.ring, [row[:w] for row in rows[:h]], reduce)
     for i, line, flags in zip(count(i0), colors, wild):
         # A row's lattice positions are an arithmetic progression.
         if isinstance(t, Patched) and (lattice := _lattice_row(t.lattice, i)):
@@ -433,9 +429,7 @@ def wildness_report(t: TilingModel, i0: int, j0: int, h: int, w: int) -> Wildnes
                 line[c] = CellColor.PARAMETER
         for c in compress(count(), flags):
             line[c] = CellColor.ZERO_WILD
-    one = t.ring.one().payload
-    d2s = enumerate(map(canon, det2_scan(rows)))
-    violations = tuple(Violation(i0 + k // w, j0 + k % w, RingValue(t.ring, v)) for k, v in d2s if v != one)
+    violations = tuple(_det2_faults(t.ring, (i0, j0), rows, reduce))
     return WildnessReport((i0, j0), h, w, tuple(map(tuple, wild)), tuple(map(tuple, colors)), violations)
 
 
@@ -486,8 +480,8 @@ def _wild_torus(t: TilingModel) -> tuple[tuple[tuple[bool, ...], ...], int]:
     p, q, c = _torus_basis(t)
     if isinstance(t, Patched) and not t.is_formal():
         t = Patched(t.ring, t.base, t.lattice, NumericParameters((), t.parameters.default))
-    rows, canon = _scalars(extract_window(t, -1, -1, p + 2, q + 2).matrix)
-    wild = [bool(canon(d3)) for d3 in det3_scan(rows)]
+    rows, reduce = _scalars(extract_window(t, -1, -1, p + 2, q + 2).matrix)
+    wild = [bool(reduce(d3)) for d3 in det3_scan(rows)]
     return tuple(tuple(wild[r * q:(r + 1) * q]) for r in range(p)), c
 
 
@@ -550,10 +544,10 @@ class AuditFinding(_Frozen):
 def window_colors(win: Window) -> list[list[CellColor]]:
     """Display colors of a bare window; boundary cells have no visible 3x3
     neighborhood, so only interior cells can show as wild."""
-    rows, canon = _scalars(win.matrix)
-    colors = _value_colors(win.matrix.spec, rows, canon)
+    rows, reduce = _scalars(win.matrix)
+    colors = _value_colors(win.matrix.spec, rows, reduce)
     inner = win.cols - 2
-    for k in compress(count(), map(canon, det3_scan(rows))):
+    for k in compress(count(), map(reduce, det3_scan(rows))):
         colors[1 + k // inner][1 + k % inner] = CellColor.ZERO_WILD
     return colors
 
@@ -569,12 +563,12 @@ def audit_window(win: Window, checks: Sequence[str]) -> list[AuditFinding | None
     if "cross" in checks and isinstance(win.matrix.spec, ModularRing):
         raise UnsupportedOperationError("zero-cross conditions hold over integral domains")
     spec = win.matrix.spec
-    rows, canon = _scalars(win.matrix)
+    rows, reduce = _scalars(win.matrix)
     one, minus_one = spec.one().payload, (-spec.one()).payload
     crosses = ((one, minus_one, one, minus_one), (minus_one, one, minus_one, one))
 
     def value(x) -> RingValue:
-        return RingValue(spec, canon(x))
+        return RingValue(spec, reduce(x))
 
     oi, oj = win.origin
     found: dict[str, AuditFinding] = {}
@@ -586,15 +580,15 @@ def audit_window(win: Window, checks: Sequence[str]) -> list[AuditFinding | None
         for name in tuple(pending):
             hit = None
             if name == "dodgson":
-                if canon(e * d3):
+                if reduce(e * d3):
                     hit = "dodgson", f"entry {value(e)} times det3 {value(d3)} is nonzero"
             elif name == "corner":
                 predicted = corner_det3(e, (above[c - 1], above[c + 1], below[c - 1], below[c + 1]))
-                if canon(d3) != canon(predicted):
+                if reduce(d3) != reduce(predicted):
                     hit = "corner", f"det3 {value(d3)} but corner formula gives {value(predicted)}"
-            elif not canon(e):
+            elif not reduce(e):
                 sides = above[c], row[c - 1], row[c + 1], below[c]
-                if tuple(map(canon, sides)) not in crosses:
+                if tuple(map(reduce, sides)) not in crosses:
                     named = ", ".join(str(value(v)) for v in sides)
                     hit = "cross-pattern", f"zero with side neighbors ({named})"
             if hit:

@@ -52,6 +52,17 @@ class TestRoundTrip:
         win = extract_window(wildest_formal, 0, 3, 5, 5)
         assert parse_grid(write_grid(win)) == win
 
+    def test_polynomial_tokens(self):
+        a1, a2, c = POLYNOMIALS.variable(1), POLYNOMIALS.variable(2), POLYNOMIALS.value
+        win = Window(Matrix.from_rows(POLYNOMIALS, [[c(0), c(5), c(-3), a2, -a2, c(7) * a1, c(-4) * a1]]), (0, 0))
+        doc = write_grid(win)
+        assert doc.endswith("\n\n0 5 -3 a2 -a2 7*a1 -4*a1\n")
+        assert parse_grid(doc) == win
+        for value, message in ((a1 - a2, "multi-term polynomial a1 - a2"),
+                               (c(2) * a1 * a2, "nonlinear term 2\\*a1\\*a2"), (a1 * a1, "nonlinear term a1\\^2")):
+            with pytest.raises(StructuralError, match=f"^no token form for the {message}$"):
+                write_grid(Window(Matrix.from_rows(POLYNOMIALS, [[value]]), (0, 0)))
+
     def test_integer_window(self, wildest):
         win = extract_window(wildest, -2, -2, 4, 6)
         rt = parse_grid(write_grid(win))

@@ -10,6 +10,7 @@ from sl2tilings import (
     POLYNOMIALS,
     Matrix,
     ModularRing,
+    UnsupportedOperationError,
     bareiss_rank,
     corner_det3,
     det2,
@@ -192,6 +193,22 @@ class TestRank:
         rows = [[a1, a2], [a1 + a1, a2 + a2]]
         m = Matrix.from_rows(POLYNOMIALS, rows)
         assert bareiss_rank(m) == 1
+
+    def test_symbolic_rank_divides_by_polynomial_pivots(self):
+        # No entry is a single term, so every step after the first divides
+        # by a polynomial pivot.  Rows x^2, x and x^3 at x = a1 + 1, a2 + 1,
+        # a3 + 1 have full rank, and the sum of the rows is dependent.
+        a = [POLYNOMIALS.variable(k) + POLYNOMIALS.one() for k in (1, 2, 3)]
+        rows = [[x * x for x in a], a, [x * x * x for x in a]]
+        assert bareiss_rank(Matrix.from_rows(POLYNOMIALS, rows)) == 3
+        total = [x + y + z for x, y, z in zip(*rows)]
+        assert bareiss_rank(Matrix.from_rows(POLYNOMIALS, rows + [total])) == 3
+        assert bareiss_rank(Matrix.from_rows(POLYNOMIALS, [rows[0], total, rows[2]])) == 3
+        assert bareiss_rank(Matrix.from_rows(POLYNOMIALS, [rows[0], [x + x for x in rows[0]]])) == 1
+
+    def test_residue_rings_refused(self):
+        with pytest.raises(UnsupportedOperationError, match="rank over residue rings is not supported"):
+            bareiss_rank(Matrix.from_ints(ModularRing(6), [[4, 2], [2, 4]]))
 
 
 class TestCornerDet3:

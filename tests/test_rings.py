@@ -5,12 +5,14 @@ from hypothesis import strategies as st
 from sl2tilings import (
     INTEGERS,
     POLYNOMIALS,
+    FormalParameters,
     ModularRing,
     RingMismatchError,
-    UnsupportedOperationError,
     ValidationError,
-    divexact,
+    parse_grid,
+    wildest_integer_tiling,
 )
+from sl2tilings.rings import _Poly
 
 
 def var(k):
@@ -40,13 +42,6 @@ class TestIntegers:
         big = INTEGERS.value(10**40)
         assert (big * big).payload == 10**80
 
-    def test_divexact(self):
-        assert divexact(INTEGERS.value(6), INTEGERS.value(2)).payload == 3
-        with pytest.raises(ArithmeticError):
-            divexact(INTEGERS.value(7), INTEGERS.value(2))
-        with pytest.raises(ZeroDivisionError):
-            divexact(INTEGERS.value(7), INTEGERS.zero())
-
     def test_cross_ring_mix_rejected(self):
         with pytest.raises(RingMismatchError):
             INTEGERS.value(1) + ModularRing(5).value(1)
@@ -66,11 +61,6 @@ class TestModular:
             ModularRing(1)
         with pytest.raises(ValidationError):
             ModularRing(0)
-
-    def test_divexact_unsupported(self):
-        r = ModularRing(6)
-        with pytest.raises(UnsupportedOperationError):
-            divexact(r.value(4), r.value(2))
 
     def test_str(self):
         assert str(ModularRing(36)) == "Z/36"
@@ -120,12 +110,26 @@ class TestPolynomials:
         with pytest.raises(ValidationError):
             POLYNOMIALS.variable(0)
 
-    def test_divexact(self):
-        a1, a2 = var(1), var(2)
-        assert divexact(a1 * a1 - a2 * a2, a1 - a2) == a1 + a2
-        assert divexact(a1 * a2 * const(6), a2 * const(3)) == a1 * const(2)
-        with pytest.raises(ArithmeticError):
-            divexact(a1 + const(1), a2)
+    def test_exact_division(self):
+        a1, a2 = var(1).payload, var(2).payload
+        six, three, two, one = (const(c).payload for c in (6, 3, 2, 1))
+        assert (a1 * a1 - a2 * a2) // (a1 - a2) == a1 + a2
+        assert (a1 * a2 * six) // (a2 * three) == a1 * two
+        with pytest.raises(ArithmeticError, match="inexact polynomial division"):
+            (a1 + one) // a2
+        with pytest.raises(ZeroDivisionError):
+            a1 // const(0).payload
+
+    def test_payloads_compute(self):
+        # Every polynomial payload computes: a plain term tuple would
+        # concatenate under + and repeat under an int *, not add.
+        a1, a3 = var(1), var(3)
+        grid = parse_grid("sl2tiling v1\nring: Z[a]\nkind: periodic\nrows: 1\ncols: 4\n\n0 a3 -2*a1 7\n")
+        formal = wildest_integer_tiling(FormalParameters())
+        values = [const(0), const(-5), POLYNOMIALS.one(), a1, a1 + a3, a1 - a1, -a3, a1 * a3,
+                  *grid.block.row(0), *(formal.entry(i, j) for i in range(-3, 12) for j in range(-3, 12))]
+        assert {type(v.payload) for v in values} == {_Poly}
+        assert a1.payload + a3.payload == (a1 + a3).payload
 
     @settings(max_examples=50)
     @given(st.lists(st.tuples(st.integers(1, 4), st.integers(-5, 5)), max_size=5),

@@ -746,9 +746,10 @@ class TestAuditWindow:
         # diagonals are all zero.
         assert seen == {"dodgson", "corner", "cross-pattern"}
 
-    def test_no_ring_arithmetic_per_cell(self, wildest, z36, monkeypatch):
-        # Over Z and Z/N verify, the report and every audit check compute on
-        # payloads: RingValue arithmetic runs as often on 60x60 as on 20x20.
+    def test_no_ring_arithmetic_per_cell(self, wildest, z36, wildest_formal, monkeypatch):
+        # Over Z, Z/N and Z[a] verify, the report and every audit check
+        # compute on payloads: RingValue arithmetic runs as often on 60x60 as
+        # on 20x20.
         calls = []
         for name in ("__add__", "__sub__", "__mul__", "__neg__"):
             op = getattr(RingValue, name)
@@ -763,7 +764,7 @@ class TestAuditWindow:
             assert audit_window(win, checks) == [None] * len(checks)
             return len(calls)
 
-        for t in (wildest, z36):
+        for t in (wildest, z36, wildest_formal):
             assert ring_ops(t, 20) == ring_ops(t, 60)
 
     def test_stops_when_every_check_has_a_finding(self, monkeypatch):
