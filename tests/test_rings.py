@@ -122,7 +122,7 @@ class TestPolynomials:
 
     def test_payloads_compute(self):
         # Every polynomial payload computes: a plain term tuple would
-        # concatenate under + and repeat under an int *, not add.
+        # concatenate under +, not add.
         a1, a3 = var(1), var(3)
         grid = parse_grid("sl2tiling v1\nring: Z[a]\nkind: periodic\nrows: 1\ncols: 4\n\n0 a3 -2*a1 7\n")
         formal = wildest_integer_tiling(FormalParameters())
