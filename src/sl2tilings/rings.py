@@ -82,6 +82,8 @@ class _Poly(tuple):
     __slots__ = ()
 
     def __add__(x, y: "_Poly") -> "_Poly":
+        if not x or not y:
+            return x or y
         acc = dict(x)
         for m, c in y:
             acc[m] = acc.get(m, 0) + c
@@ -94,6 +96,15 @@ class _Poly(tuple):
         return x + -y
 
     def __mul__(x, y: "_Poly") -> "_Poly":
+        # A zero or constant factor scales the other's terms, which keeps
+        # them canonical: no coefficient vanishes over Z, no order changes.
+        if len(y) == 1 and not y[0][0]:
+            x, y = y, x
+        if not x or not y:
+            return _Poly()
+        if len(x) == 1 and not x[0][0]:
+            c = x[0][1]
+            return y if c == 1 else _Poly((m, c * k) for m, k in y)
         acc: dict[Monomial, int] = {}
         for mx, cx in x:
             for my, cy in y:

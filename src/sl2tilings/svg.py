@@ -15,6 +15,7 @@ from .tiling import (
     TilingModel,
     Violation,
     Window,
+    extract_window,
     verify_sl2,
     verify_window,
     wildness_report,
@@ -83,11 +84,12 @@ def render_svg(
         if fault is not None:
             raise UnverifiedModelError(fault)
     if isinstance(obj, Window):
-        i0, j0, h, w = 0, 0, obj.rows, obj.cols
-        colors, entry = window_colors(obj), obj.at
+        h, w = obj.rows, obj.cols
+        colors, labels = window_colors(obj), obj
     else:
         i0, j0, h, w = region if region is not None else default_region(obj)
-        colors, entry = wildness_report(obj, i0, j0, h, w).colors, obj.entry
+        colors = wildness_report(obj, i0, j0, h, w).colors
+        labels = extract_window(obj, i0, j0, h, w) if opts.labels else None
     size = opts.cell_size
     width = w * size
     height = h * size
@@ -109,7 +111,7 @@ def render_svg(
                     f'<text x="{c * size + size // 2}" y="{r * size + size // 2}" '
                     f'font-family="monospace" font-size="{font}" fill="{text_fill}" '
                     f'text-anchor="middle" dominant-baseline="central">'
-                    f"{_escape(str(entry(i0 + r, j0 + c)))}</text>"
+                    f"{_escape(str(labels.at(r, c)))}</text>"
                 )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left
+from functools import cache, partial
 from itertools import accumulate, chain, compress, count
 from math import gcd, isqrt, lcm
 from typing import Callable, Iterator, Mapping, Sequence, Union
@@ -144,12 +145,16 @@ def _numbered_before(lattice: SublatticeSpec, t: int) -> Callable[[int, int], in
     return lambda i, j: before + outer(i, j) - inner(i, j)
 
 
+def _shell(lattice: SublatticeSpec, i: int, j: int) -> int:
+    """The t with (i, j) in box t but not in box t - 1."""
+    return max(0, -(min(i, j) // lattice.m), (max(i, j) - 2) // lattice.m)
+
+
 def parameter_index(lattice: SublatticeSpec, i: int, j: int) -> int:
     """1-based parameter number of a lattice position under the box scan."""
     if not lattice.contains(i, j):
         raise StructuralError(f"({i}, {j}) is not on the sublattice")
-    t = max(0, -(min(i, j) // lattice.m), (max(i, j) - 2) // lattice.m)
-    return _numbered_before(lattice, t)(i, j) + 1
+    return _numbered_before(lattice, _shell(lattice, i, j))(i, j) + 1
 
 
 def parameter_position(lattice: SublatticeSpec, index: int) -> tuple[int, int]:
@@ -167,6 +172,12 @@ def parameter_position(lattice: SublatticeSpec, index: int) -> tuple[int, int]:
     return i, j
 
 
+def _turn(period: Sequence[RingValue], k: int, w: int) -> list[RingValue]:
+    """w entries of the repeated period, from its entry k mod len(period)."""
+    k %= len(period)
+    return list((period * ((k + w) // len(period) + 1))[k:k + w])
+
+
 class RuleBased(_Frozen):
     """entry(i, j) = table[(j - i) mod 4]."""
 
@@ -182,6 +193,9 @@ class RuleBased(_Frozen):
 
     def entry(self, i: int, j: int) -> RingValue:
         return self.table[(j - i) % 4]
+
+    def _rows(self, i0: int, j0: int, h: int, w: int) -> list[list[RingValue]]:
+        return [_turn(self.table, j0 - i, w) for i in range(i0, i0 + h)]
 
 
 class PeriodicBlock(_Frozen):
@@ -204,6 +218,9 @@ class PeriodicBlock(_Frozen):
 
     def entry(self, i: int, j: int) -> RingValue:
         return self.block.at(i % self.h, j % self.w)
+
+    def _rows(self, i0: int, j0: int, h: int, w: int) -> list[list[RingValue]]:
+        return [_turn(self.block.row(i % self.h), j0, w) for i in range(i0, i0 + h)]
 
 
 class Patched(_Frozen):
@@ -252,6 +269,24 @@ class Patched(_Frozen):
             return self.ring.value(self.parameters.value_at(i, j))
         return self.base.entry(i, j)
 
+    def _rows(self, i0: int, j0: int, h: int, w: int) -> list[list[RingValue]]:
+        """The background rows with each row's lattice progression written
+        over: variables, numbered by one _numbered_before per shell met in
+        this call, or the default value; then the explicit values."""
+        rows, lattice, ring = self.base._rows(i0, j0, h, w), self.lattice, self.ring
+        numbered_before = cache(partial(_numbered_before, lattice))
+        default = None if self.is_formal() else ring.value(self.parameters.default)
+        for i, row in zip(count(i0), rows):
+            if progression := _lattice_row(lattice, i):
+                a, q = progression
+                cols = range(j0 + (a - j0) % q, j0 + w, q)
+                row[cols.start - j0::q] = [default] * len(cols) if default is not None else [
+                    ring.variable(numbered_before(_shell(lattice, i, j))(i, j) + 1) for j in cols]
+        for (i, j), v in () if default is None else self.parameters.values:
+            if 0 <= i - i0 < h and 0 <= j - j0 < w:
+                rows[i - i0][j - j0] = ring.value(v)
+        return rows
+
 
 TilingModel = Union[RuleBased, PeriodicBlock, Patched]
 
@@ -278,10 +313,10 @@ class Window(_Frozen):
 
 
 def extract_window(t: TilingModel, i0: int, j0: int, h: int, w: int) -> Window:
+    """The h x w window at (i0, j0), of entry(i, j), filled row by row."""
     if h < 1 or w < 1:
         raise ValidationError(f"window shape must be positive, got {h}x{w}")
-    rows = [[t.entry(i0 + r, j0 + c) for c in range(w)] for r in range(h)]
-    return Window(Matrix.from_rows(t.ring, rows), (i0, j0))
+    return Window(Matrix.from_rows(t.ring, t._rows(i0, j0, h, w)), (i0, j0))
 
 
 class Violation(_Frozen):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from sl2tilings import (
     parse_grid,
     wildest_integer_tiling,
 )
+from sl2tilings import rings
 from sl2tilings.rings import _Poly
 
 
@@ -153,6 +156,50 @@ class TestPolynomials:
         x, y = build(left), build(right)
         assert at_point(x * y) == at_point(x) * at_point(y)
         assert at_point(x + y) == at_point(x) + at_point(y)
+
+    def test_fast_paths_match_the_dict_path(self):
+        # Products with a zero or constant factor scale terms and sums with
+        # a zero operand return the other; both must equal the general
+        # dict-and-sort path and stay canonical.
+        def dict_mul(x, y):
+            acc = {}
+            for mx, cx in x:
+                for my, cy in y:
+                    m = rings._mono_mul(mx, my)
+                    acc[m] = acc.get(m, 0) + cx * cy
+            return rings._canonical_terms(acc)
+
+        def dict_add(x, y):
+            acc = dict(x)
+            for m, c in y:
+                acc[m] = acc.get(m, 0) + c
+            return rings._canonical_terms(acc)
+
+        def canonical(p):
+            keys = [rings._grlex_key(m) for m, _ in p]
+            return (type(p) is _Poly and all(c for _, c in p)
+                    and all(a > b for a, b in zip(keys, keys[1:])))
+
+        rng = random.Random(7)
+
+        def poly():
+            # Up to 4 terms of degree up to 3 in a1..a4, some constant.
+            terms = {}
+            for _ in range(rng.randint(1, 4)):
+                exps = {}
+                for _ in range(rng.randint(0, 3)):
+                    k = rng.randint(1, 4)
+                    exps[k] = exps.get(k, 0) + 1
+                terms[tuple(sorted(exps.items()))] = rng.randint(-4, 4)
+            return rings._canonical_terms(terms)
+
+        operands = [const(c).payload for c in (0, 1, -1, 3, -7)] + [var(2).payload]
+        operands += [poly() for _ in range(40)]
+        assert all(map(canonical, operands))
+        for x in operands:
+            for y in operands:
+                for got, want in ((x * y, dict_mul(x, y)), (x + y, dict_add(x, y))):
+                    assert got == want and canonical(got), (x, y)
 
     def test_cancellation_to_zero(self):
         a1 = var(1)

@@ -86,6 +86,20 @@ class TestRendering:
             with pytest.raises(AssertionError, match="label text built"):
                 render_svg(obj, region=(0, 0, 10, 10), options=RenderOptions(labels=True))
 
+    def test_model_labels_from_one_window(self, catalog, wildest_formal, monkeypatch):
+        # Labels come from one extracted window, cell for cell the entries.
+        regions = {"unit": (-3, 5, 4, 7), "z36": (2, -5, 6, 9), "wildest": (-7, 3, 9, 12)}
+        cases = [(catalog[name], region) for name, region in regions.items()]
+        cases += [(wildest_formal, (-12, -4, 8, 11)), (wildest_formal, (700, -900, 5, 13))]
+        expected = [[str(t.entry(i, j)) for i in range(i0, i0 + h) for j in range(j0, j0 + w)]
+                    for t, (i0, j0, h, w) in cases]
+        for (t, region), labels in zip(cases, expected):
+            with monkeypatch.context() as patch:
+                # A patched model's constructor reads its background's entry.
+                patch.setattr(type(t), "entry", None)
+                svg = render_svg(t, region=region, options=RenderOptions(labels=True), force=True)
+            assert re.findall(r">([^<>]*)</text>", svg) == labels
+
     def test_cell_size_validation(self):
         with pytest.raises(ValidationError):
             RenderOptions(cell_size=3)

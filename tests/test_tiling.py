@@ -282,6 +282,54 @@ class TestExtractWindow:
         assert win.at(0, 0) == wildest.entry(5, -3)
         assert win.origin == (5, -3)
 
+    def test_equals_entry_grid(self, catalog, wildest_formal):
+        # The row fill against entry(i, j) cell by cell, on seeded random
+        # windows of every model kind, 1-row and 1-column ones included.
+        rng = random.Random(20)
+        z7 = ModularRing(7)
+        block = PeriodicBlock(z7, Matrix.from_ints(z7, [[1, 2, 3], [4, 5, 6]]))
+        # The corners and one inner cell of the 5 x 13 window at (-3, -1),
+        # all on i + j = 0 (mod 4).
+        edges = {(-3, -1): 3, (-3, 11): -1, (1, -1): 7, (1, 11): 2, (-1, 5): 5}
+        explicit = Patched(INTEGERS, catalog["wildest"].base, SublatticeSpec(1, 1, 4, 0),
+                           NumericParameters.from_mapping(edges, -2))
+        far = [(rng.randrange(600, 5000), rng.randrange(-5000, 5000)) for _ in range(4)]
+        cases = [(catalog["unit"], (rng.randrange(-99, 99), rng.randrange(-99, 99)), []),
+                 (block, (-4, -5), [(3, 1), (3, 2), (3, 3), (5, 7), (4, 11)]),
+                 (block, (7, 2), [(2, 2), (7, 4)]),
+                 (explicit, (-3, -1), [(5, 13), (1, 13), (5, 1)]),
+                 (explicit, (1, 11), [(1, 1)]),
+                 (catalog["wildest"], (-7, -3), []),
+                 (wildest_formal, (-17, -9), []), (wildest_formal, (-3, -20), [(40, 3)])]
+        cases += [(wildest_formal, origin, [(3, 30)]) for origin in far]
+        cases += [(t, (rng.randrange(-50, 50), rng.randrange(-50, 50)), [])
+                  for t in (patched_model((2, 2, 4, 0), True), patched_model((3, 1, 10, 6), False))]
+        for t, (i0, j0), extra in cases:
+            shapes = [(1, 1), (1, 12), (12, 1), (6, 12), *extra]
+            shapes += [(rng.randint(1, 14), rng.randint(1, 14)) for _ in range(4)]
+            for h, w in shapes:
+                win = extract_window(t, i0, j0, h, w)
+                cells = [[t.entry(i, j) for j in range(j0, j0 + w)] for i in range(i0, i0 + h)]
+                assert [list(win.matrix.row(r)) for r in range(h)] == cells, (t, i0, j0, h, w)
+                assert win.origin == (i0, j0)
+
+    def test_formal_window_numbers_once_per_shell(self, wildest_formal, monkeypatch):
+        calls, shells = [], []
+        for kind in (RuleBased, PeriodicBlock, Patched):
+            monkeypatch.setattr(kind, "entry", lambda *a: calls.append(a))
+        numbered_before = tiling._numbered_before
+        monkeypatch.setattr(tiling, "_numbered_before",
+                            lambda lat, t: shells.append(t) or numbered_before(lat, t))
+        lat = wildest_formal.lattice
+        for i0, j0 in ((-15, -25), (600, 1234)):
+            shells.clear()
+            win = extract_window(wildest_formal, i0, j0, 100, 100)
+            met = {tiling._shell(lat, i, j) for i in range(i0, i0 + 100)
+                   for j in range(j0, j0 + 100) if lat.contains(i, j)}
+            assert not calls
+            assert sorted(shells) == sorted(met) and len(met) > 1
+            assert win.at(0, (6 - 3 * i0 - j0) % 10).single_variable() is not None
+
 
 class TestVerify:
     def test_catalog_models_pass(self, catalog):
