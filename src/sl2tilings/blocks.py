@@ -23,10 +23,11 @@ puts integers in place of its parameters (``_probe_deficiency``).
 from __future__ import annotations
 
 import random
+from itertools import chain
 
 from .errors import StructuralError, ValidationError, _Frozen
 from .matrices import Matrix, bareiss_rank
-from .rings import INTEGERS, RingValue
+from .rings import INTEGERS, _Poly
 from .tiling import Patched, TilingModel, Window, _torus_basis, extract_window
 
 # The largest block side for classes and both rank modes.  At n = 48 the
@@ -47,17 +48,20 @@ _SIGN_CHANGES = tuple(
 )
 
 
-def _cell_token(v: RingValue) -> int | str:
-    """The parameter's index, or 0 / + / - for a constant entry."""
-    var = v.single_variable()
-    tok = var if var is not None else _TOKENS.get(v.constant_value())
+def _cell_token(p: int | _Poly) -> int | str:
+    """The parameter's index, or 0 / + / - for a constant entry, of a payload."""
+    var, const = (p.single_variable(), p.constant()) if isinstance(p, _Poly) else (None, p)
+    tok = var if var is not None else _TOKENS.get(const)
     if tok is None:
-        raise StructuralError(f"entry {v} is outside the 0 / +1 / -1 / parameter alphabet")
+        raise StructuralError(f"entry {p} is outside the 0 / +1 / -1 / parameter alphabet")
     return tok
 
 
 def _token_grid(win: Window) -> list[list[int | str]]:
-    return [[_cell_token(win.at(r, c)) for c in range(win.cols)] for r in range(win.rows)]
+    """The tokens of a window's cells: one _cell_token per distinct payload."""
+    rows = win.matrix.payload_rows()
+    tokens = {p: _cell_token(p) for p in set(chain.from_iterable(rows))}
+    return [list(map(tokens.__getitem__, row)) for row in rows]
 
 
 def _images(grid: list[list[int | str]]):

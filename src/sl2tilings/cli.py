@@ -26,7 +26,7 @@ from .errors import (
     UnsupportedOperationError,
     ValidationError,
 )
-from .gridio import GridParseError, parse_grid, write_grid
+from .gridio import _WINDOW_CELLS, GridParseError, parse_grid, write_grid
 from .matrices import Matrix
 from .rings import ModularRing
 from .search import SearchConfig, brute_force_oracle, search_fully_wild
@@ -57,11 +57,6 @@ def _describe(obj) -> str:
         )
     i, j = obj.origin
     return f"window {obj.rows}x{obj.cols} at ({i}, {j}) over {obj.matrix.spec}"
-
-
-# verify, audit and render hold every cell of a --window in memory, and the
-# search DFS every cell of its block.
-_WINDOW_CELLS = 250_000
 
 
 def _bound_cells(what: str, h: int, w: int) -> None:

@@ -51,9 +51,12 @@ from .tiling import (
 )
 
 FORMAT_LINE = "sl2tiling v1"
+# verify, audit and render hold every cell of a --window in memory, and the
+# search DFS every cell of its block.
+_WINDOW_CELLS = 250_000
 # A patched model's wild torus, which verify, density and every report read,
-# has at most 4m cells: this keeps it within the 250,000 cells of a --window.
-_MAX_LATTICE_MODULUS = 250_000 // 4
+# has at most 4m cells: this keeps it within the cells of a --window.
+_MAX_LATTICE_MODULUS = _WINDOW_CELLS // 4
 
 _TOKEN_RE = re.compile(r"^([+-]?)(?:(\d+)(?:\*a(\d+))?|a(\d+))$")
 _RING_RE = re.compile(r"^(Z)$|^Z/(\d+)$|^(Z\[a\])$")

@@ -23,11 +23,15 @@ Scalar = TypeVar("Scalar")
 
 
 class Matrix(_Frozen):
-    """An immutable rows x cols matrix with entries from a single ring."""
+    """An immutable rows x cols matrix with entries from a single ring.
+
+    ``entries`` holds the entries' payloads, row-major.  ``at`` and ``row``
+    give ring values; computation reads ``payload_rows``.
+    """
 
     __slots__ = ("spec", "rows", "cols", "entries")
 
-    def __init__(self, spec: RingSpec, rows: int, cols: int, entries: tuple[RingValue, ...]) -> None:
+    def __init__(self, spec: RingSpec, rows: int, cols: int, entries: tuple) -> None:
         self._assign(spec, rows, cols, entries)
 
     @staticmethod
@@ -35,14 +39,14 @@ class Matrix(_Frozen):
         if not rows or not rows[0]:
             raise StructuralError("matrix needs at least one row and one column")
         width = len(rows[0])
-        flat: list[RingValue] = []
+        flat = []
         for row in rows:
             if len(row) != width:
                 raise StructuralError("ragged rows")
             for v in row:
                 if not isinstance(v, RingValue) or (v.spec is not spec and v.spec != spec):
                     raise StructuralError("entry does not belong to the matrix ring")
-                flat.append(v)
+                flat.append(v.payload)
         return Matrix(spec, len(rows), width, tuple(flat))
 
     @staticmethod
@@ -52,22 +56,22 @@ class Matrix(_Frozen):
     def at(self, i: int, j: int) -> RingValue:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise StructuralError(f"index ({i}, {j}) outside {self.rows}x{self.cols}")
-        return self.entries[i * self.cols + j]
+        return RingValue(self.spec, self.entries[i * self.cols + j])
 
     def row(self, i: int) -> tuple[RingValue, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        w = self.cols
+        return tuple(RingValue(self.spec, p) for p in self.entries[i * w:(i + 1) * w])
+
+    def payload_rows(self) -> list[tuple]:
+        """The rows of payloads, for the minors below."""
+        w = self.cols
+        return [self.entries[k:k + w] for k in range(0, self.rows * w, w)]
 
     def to_int_rows(self) -> list[list[int]]:
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(self.cols):
-                c = self.at(i, j).constant_value()
-                if c is None:
-                    raise StructuralError("matrix has non-constant entries")
-                row.append(c)
-            out.append(row)
-        return out
+        rows = [[v.constant_value() for v in self.row(i)] for i in range(self.rows)]
+        if any(None in row for row in rows):
+            raise StructuralError("matrix has non-constant entries")
+        return rows
 
 
 def det2(a: Scalar, b: Scalar, c: Scalar, d: Scalar) -> Scalar:
@@ -108,7 +112,7 @@ def bareiss_rank(m: Matrix) -> int:
     if isinstance(m.spec, ModularRing):
         raise UnsupportedOperationError("rank over residue rings is not supported")
     poly = isinstance(m.spec, PolynomialRing)
-    a = [[v.payload for v in m.row(i)] for i in range(m.rows)]
+    a = [list(row) for row in m.payload_rows()]
     prev = m.spec.one().payload
     live_rows = list(range(m.rows))
     live_cols = list(range(m.cols))

@@ -137,6 +137,22 @@ class _Poly(tuple):
                     del rest[key]
         return _canonical_terms(quotient)
 
+    def constant(self) -> int | None:
+        """The integer this polynomial equals, or None if it is not constant."""
+        if not self:
+            return 0
+        return self[0][1] if len(self) == 1 and self[0][0] == _CONST else None
+
+    def single_variable(self) -> int | None:
+        """k if this polynomial is exactly the variable a_k, else None."""
+        if len(self) == 1 and self[0][1] == 1 and len(self[0][0]) == 1 and self[0][0][0][1] == 1:
+            return self[0][0][0][0]
+        return None
+
+    @staticmethod
+    def of_variable(index: int) -> "_Poly":
+        return _Poly((((((index, 1),)), 1),))
+
     def __str__(self) -> str:
         out = ""
         for mono, coeff in self:
@@ -165,9 +181,6 @@ class IntegerRing(_Frozen):
     def __str__(self) -> str:
         return "Z"
 
-    def __hash__(self) -> int:
-        return hash(())
-
 
 class ModularRing(_Frozen):
     """The residue ring Z/nZ with canonical representatives in [0, n)."""
@@ -193,9 +206,6 @@ class ModularRing(_Frozen):
 
     def __str__(self) -> str:
         return f"Z/{self.modulus}"
-
-    def __hash__(self) -> int:
-        return hash((self.modulus,))
 
 
 class PolynomialRing(_Frozen):
@@ -223,13 +233,10 @@ class PolynomialRing(_Frozen):
     def variable(self, index: int) -> "RingValue":
         if index < 1:
             raise ValidationError(f"variable index must be positive, got {index}")
-        return RingValue(self, _Poly((((((index, 1),)), 1),)))
+        return RingValue(self, _Poly.of_variable(index))
 
     def __str__(self) -> str:
         return "Z[a]"
-
-    def __hash__(self) -> int:
-        return hash(())
 
 
 RingSpec = Union[IntegerRing, ModularRing, PolynomialRing]
@@ -253,17 +260,6 @@ class RingValue(_Frozen):
     def __init__(self, spec: RingSpec, payload: int | _Poly) -> None:
         _set(self, "spec", spec)
         _set(self, "payload", payload)
-
-    # _Frozen's equality and hash, spelled out for speed: values are compared
-    # in the inner loops.  Every value hash hashes the ring, so the rings
-    # spell out their hashes too.
-    def __eq__(self, other):
-        if other.__class__ is RingValue:
-            return (self.spec, self.payload) == (other.spec, other.payload)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.spec, self.payload))
 
     def _require_same(self, other: "RingValue") -> None:
         if not isinstance(other, RingValue):
@@ -294,24 +290,11 @@ class RingValue(_Frozen):
 
     def constant_value(self) -> int | None:
         """The integer this value equals, or None for a non-constant polynomial."""
-        if isinstance(self.spec, PolynomialRing):
-            if not self.payload:
-                return 0
-            if len(self.payload) == 1 and self.payload[0][0] == _CONST:
-                return self.payload[0][1]
-            return None
-        return self.payload
+        return self.payload.constant() if isinstance(self.spec, PolynomialRing) else self.payload
 
     def single_variable(self) -> int | None:
         """If the value is exactly one variable a_k, return k, else None."""
-        if not isinstance(self.spec, PolynomialRing):
-            return None
-        if len(self.payload) != 1:
-            return None
-        mono, coeff = self.payload[0]
-        if coeff == 1 and len(mono) == 1 and mono[0][1] == 1:
-            return mono[0][0]
-        return None
+        return self.payload.single_variable() if isinstance(self.spec, PolynomialRing) else None
 
     def __str__(self) -> str:
         return str(self.payload)

@@ -33,6 +33,7 @@ from .rings import (
     PolynomialRing,
     RingSpec,
     RingValue,
+    _Poly,
 )
 
 
@@ -172,7 +173,7 @@ def parameter_position(lattice: SublatticeSpec, index: int) -> tuple[int, int]:
     return i, j
 
 
-def _turn(period: Sequence[RingValue], k: int, w: int) -> list[RingValue]:
+def _turn(period: Sequence, k: int, w: int) -> list:
     """w entries of the repeated period, from its entry k mod len(period)."""
     k %= len(period)
     return list((period * ((k + w) // len(period) + 1))[k:k + w])
@@ -194,8 +195,10 @@ class RuleBased(_Frozen):
     def entry(self, i: int, j: int) -> RingValue:
         return self.table[(j - i) % 4]
 
-    def _rows(self, i0: int, j0: int, h: int, w: int) -> list[list[RingValue]]:
-        return [_turn(self.table, j0 - i, w) for i in range(i0, i0 + h)]
+    def _rows(self, i0: int, j0: int, h: int, w: int) -> list[list]:
+        """The payload rows of the h x w window at (i0, j0)."""
+        table = [v.payload for v in self.table]
+        return [_turn(table, j0 - i, w) for i in range(i0, i0 + h)]
 
 
 class PeriodicBlock(_Frozen):
@@ -219,8 +222,9 @@ class PeriodicBlock(_Frozen):
     def entry(self, i: int, j: int) -> RingValue:
         return self.block.at(i % self.h, j % self.w)
 
-    def _rows(self, i0: int, j0: int, h: int, w: int) -> list[list[RingValue]]:
-        return [_turn(self.block.row(i % self.h), j0, w) for i in range(i0, i0 + h)]
+    def _rows(self, i0: int, j0: int, h: int, w: int) -> list[list]:
+        block = self.block.payload_rows()
+        return [_turn(block[i % self.h], j0, w) for i in range(i0, i0 + h)]
 
 
 class Patched(_Frozen):
@@ -269,22 +273,19 @@ class Patched(_Frozen):
             return self.ring.value(self.parameters.value_at(i, j))
         return self.base.entry(i, j)
 
-    def _rows(self, i0: int, j0: int, h: int, w: int) -> list[list[RingValue]]:
+    def _rows(self, i0: int, j0: int, h: int, w: int) -> list[list]:
         """The background rows with each row's lattice progression written
         over: variables, numbered by one _numbered_before per shell met in
-        this call, or the default value; then the explicit values."""
-        rows, lattice, ring = self.base._rows(i0, j0, h, w), self.lattice, self.ring
+        this call, or the parameter values."""
+        rows, lattice = self.base._rows(i0, j0, h, w), self.lattice
         numbered_before = cache(partial(_numbered_before, lattice))
-        default = None if self.is_formal() else ring.value(self.parameters.default)
+        value_at = None if self.is_formal() else self.parameters.value_at
         for i, row in zip(count(i0), rows):
             if progression := _lattice_row(lattice, i):
                 a, q = progression
                 cols = range(j0 + (a - j0) % q, j0 + w, q)
-                row[cols.start - j0::q] = [default] * len(cols) if default is not None else [
-                    ring.variable(numbered_before(_shell(lattice, i, j))(i, j) + 1) for j in cols]
-        for (i, j), v in () if default is None else self.parameters.values:
-            if 0 <= i - i0 < h and 0 <= j - j0 < w:
-                rows[i - i0][j - j0] = ring.value(v)
+                row[cols.start - j0::q] = [value_at(i, j) for j in cols] if value_at else [
+                    _Poly.of_variable(numbered_before(_shell(lattice, i, j))(i, j) + 1) for j in cols]
         return rows
 
 
@@ -316,7 +317,7 @@ def extract_window(t: TilingModel, i0: int, j0: int, h: int, w: int) -> Window:
     """The h x w window at (i0, j0), of entry(i, j), filled row by row."""
     if h < 1 or w < 1:
         raise ValidationError(f"window shape must be positive, got {h}x{w}")
-    return Window(Matrix.from_rows(t.ring, t._rows(i0, j0, h, w)), (i0, j0))
+    return Window(Matrix(t.ring, h, w, tuple(chain.from_iterable(t._rows(i0, j0, h, w)))), (i0, j0))
 
 
 class Violation(_Frozen):
@@ -328,19 +329,16 @@ class Violation(_Frozen):
         self._assign(i, j, value)
 
 
-def _scalars(m: Matrix) -> tuple[list[list], Callable]:
-    """The rows of ``m`` as payloads for the minors of matrices.py, and the
-    ring's ``reduce``, which takes a payload computed from them to the
-    payload of its value.  A reduced payload is truthy exactly when its
-    value is nonzero, and two are equal exactly when their values are."""
-    return [[v.payload for v in m.row(r)] for r in range(m.rows)], m.spec.reduce
+# Analyses compute on payload rows with the minors of matrices.py.  The ring's
+# ``reduce`` takes a computed payload to its value's payload, which is truthy
+# exactly when the value is nonzero; two are equal exactly when the values are.
 
 
-def _det2_faults(spec: RingSpec, origin: tuple[int, int], rows: list, reduce: Callable) -> Iterator[Violation]:
+def _det2_faults(spec: RingSpec, origin: tuple[int, int], rows: Sequence[Sequence]) -> Iterator[Violation]:
     """A Violation for every adjacent 2x2 window of the payload rows whose
     determinant is not 1, row-major; ``origin`` is the cell of rows[0][0]."""
     one, (oi, oj), w = spec.one().payload, origin, len(rows[0]) - 1
-    for k, v in enumerate(map(reduce, det2_scan(rows))):
+    for k, v in enumerate(map(spec.reduce, det2_scan(rows))):
         if v != one:
             yield Violation(oi + k // w, oj + k % w, RingValue(spec, v))
 
@@ -372,7 +370,7 @@ def verify_sl2(t: TilingModel) -> Violation | None:
 def verify_window(win: Window) -> Violation | None:
     """First 2x2 window lying fully inside a finite grid, row-major, whose
     determinant differs from 1."""
-    return next(_det2_faults(win.matrix.spec, win.origin, *_scalars(win.matrix)), None)
+    return next(_det2_faults(win.matrix.spec, win.origin, win.matrix.payload_rows()), None)
 
 
 def centered_det3(t: TilingModel, i: int, j: int) -> RingValue:
@@ -410,12 +408,12 @@ def _value_color(value: RingValue, wild: bool, is_parameter: bool) -> CellColor:
     return CellColor.OTHER_NONZERO
 
 
-def _value_colors(spec: RingSpec, rows: Sequence[Sequence], reduce: Callable) -> list[list[CellColor]]:
-    """The colors of rows of payloads by value alone: one _value_color per
-    distinct payload."""
-    payloads = [list(map(reduce, row)) for row in rows]
-    palette = {p: _value_color(RingValue(spec, p), False, False) for p in set(chain.from_iterable(payloads))}
-    return [list(map(palette.__getitem__, row)) for row in payloads]
+def _value_colors(spec: RingSpec, rows: Sequence[Sequence]) -> list[list[CellColor]]:
+    """The colors of rows of payloads by value alone: PARAMETER for a
+    non-constant polynomial, else one _value_color per distinct payload."""
+    palette = {p: CellColor.PARAMETER if isinstance(p, _Poly) and p.constant() is None
+               else _value_color(RingValue(spec, p), False, False) for p in set(chain.from_iterable(rows))}
+    return [list(map(palette.__getitem__, row)) for row in rows]
 
 
 class WildnessReport(_Frozen):
@@ -440,9 +438,11 @@ class WildnessReport(_Frozen):
 def wildness_report(t: TilingModel, i0: int, j0: int, h: int, w: int) -> WildnessReport:
     """Per-cell wildness and display colors for the h x w window at (i0, j0).
 
-    Wildness is read off the wild torus, and found by classify_entry at the
-    few cells whose 3x3 window meets an explicit numeric value.  Violations
-    list every 2x2 window whose top-left cell lies in the region.
+    All of it comes from one frame of payloads, the region grown by a cell
+    on each side.  Wildness is read off the wild torus, and from the frame's
+    det3 at the few cells whose 3x3 window meets an explicit numeric value.
+    Colors are the region's values, and violations list every 2x2 window
+    whose top-left cell lies in the region.
     """
     if h < 1 or w < 1:
         raise ValidationError(f"window shape must be positive, got {h}x{w}")
@@ -450,13 +450,11 @@ def wildness_report(t: TilingModel, i0: int, j0: int, h: int, w: int) -> Wildnes
     p, q = len(torus), len(torus[0])
     # Row i of the region is torus row i mod p, turned by (j0 - s*(i // p)) mod q.
     wild = [list((torus[i % p] * (w // q + 2))[(j0 - s * (i // p)) % q:][:w]) for i in range(i0, i0 + h)]
-    for i, j in _explicit_cells(t):
-        if 0 <= i - i0 < h and 0 <= j - j0 < w:
-            wild[i - i0][j - j0] = classify_entry(t, i, j)[0]
-    # One (h + 1) x (w + 1) frame: the region's entries, and one det2 per cell.
-    frame = extract_window(t, i0, j0, h + 1, w + 1)
-    rows, reduce = _scalars(frame.matrix)
-    colors = _value_colors(t.ring, [row[:w] for row in rows[:h]], reduce)
+    frame = t._rows(i0 - 1, j0 - 1, h + 2, w + 2)
+    for r, c in ((i - i0, j - j0) for i, j in _explicit_cells(t)):
+        if 0 <= r < h and 0 <= c < w:
+            wild[r][c] = bool(t.ring.reduce(det3([row[c:c + 3] for row in frame[r:r + 3]])))
+    colors = _value_colors(t.ring, [row[1:w + 1] for row in frame[1:h + 1]])
     for i, line, flags in zip(count(i0), colors, wild):
         # A row's lattice positions are an arithmetic progression.
         if isinstance(t, Patched) and (lattice := _lattice_row(t.lattice, i)):
@@ -464,7 +462,7 @@ def wildness_report(t: TilingModel, i0: int, j0: int, h: int, w: int) -> Wildnes
                 line[c] = CellColor.PARAMETER
         for c in compress(count(), flags):
             line[c] = CellColor.ZERO_WILD
-    violations = tuple(_det2_faults(t.ring, (i0, j0), rows, reduce))
+    violations = tuple(_det2_faults(t.ring, (i0, j0), [row[1:] for row in frame[1:]]))
     return WildnessReport((i0, j0), h, w, tuple(map(tuple, wild)), tuple(map(tuple, colors)), violations)
 
 
@@ -515,8 +513,7 @@ def _wild_torus(t: TilingModel) -> tuple[tuple[tuple[bool, ...], ...], int]:
     p, q, c = _torus_basis(t)
     if isinstance(t, Patched) and not t.is_formal():
         t = Patched(t.ring, t.base, t.lattice, NumericParameters((), t.parameters.default))
-    rows, reduce = _scalars(extract_window(t, -1, -1, p + 2, q + 2).matrix)
-    wild = [bool(reduce(d3)) for d3 in det3_scan(rows)]
+    wild = [bool(t.ring.reduce(d3)) for d3 in det3_scan(t._rows(-1, -1, p + 2, q + 2))]
     return tuple(tuple(wild[r * q:(r + 1) * q]) for r in range(p)), c
 
 
@@ -552,9 +549,10 @@ def wild_density_windows(t: TilingModel, radii: Sequence[int]) -> tuple[DensityS
     rows, c = _wild_torus(t)
     p, q = len(rows), len(rows[0])
     residues = [[k for k, wild in enumerate(row) if wild] for row in rows]
-    # The torus leaves out explicit numeric values: recount the cells they reach.
-    fixes = {(i, j): classify_entry(t, i, j)[0] - rows[i % p][(j - c * (i // p)) % q]
-             for i, j in _explicit_cells(t)}
+    # The torus leaves out explicit numeric values: recount the cells they
+    # reach, each from the det3 of its 3x3 window.
+    fixes = {(i, j): bool(t.ring.reduce(det3(t._rows(i - 1, j - 1, 3, 3))))
+             - rows[i % p][(j - c * (i // p)) % q] for i, j in _explicit_cells(t)}
     samples = []
     for r in radii:
         wild = sum(d for (i, j), d in fixes.items() if i * i + j * j <= r * r)
@@ -579,10 +577,10 @@ class AuditFinding(_Frozen):
 def window_colors(win: Window) -> list[list[CellColor]]:
     """Display colors of a bare window; boundary cells have no visible 3x3
     neighborhood, so only interior cells can show as wild."""
-    rows, reduce = _scalars(win.matrix)
-    colors = _value_colors(win.matrix.spec, rows, reduce)
+    rows = win.matrix.payload_rows()
+    colors = _value_colors(win.matrix.spec, rows)
     inner = win.cols - 2
-    for k in compress(count(), map(reduce, det3_scan(rows))):
+    for k in compress(count(), map(win.matrix.spec.reduce, det3_scan(rows))):
         colors[1 + k // inner][1 + k % inner] = CellColor.ZERO_WILD
     return colors
 
@@ -598,7 +596,7 @@ def audit_window(win: Window, checks: Sequence[str]) -> list[AuditFinding | None
     if "cross" in checks and isinstance(win.matrix.spec, ModularRing):
         raise UnsupportedOperationError("zero-cross conditions hold over integral domains")
     spec = win.matrix.spec
-    rows, reduce = _scalars(win.matrix)
+    rows, reduce = win.matrix.payload_rows(), spec.reduce
     one, minus_one = spec.one().payload, (-spec.one()).payload
     crosses = ((one, minus_one, one, minus_one), (minus_one, one, minus_one, one))
 

@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 
 from sl2tilings import (
@@ -109,6 +111,14 @@ class TestSweep:
     def test_n72_members(self):
         at72 = [(p.p, p.q, p.r, p.s) for p in iter_pqrs_params(3000) if p.modulus == 72]
         assert at72 == [(3, 2, 4, 3), (3, 4, 2, 3)]
+
+    def test_fully_wild_entries_are_nonunits(self, z36):
+        # e * det3 = 0 in every SL2 tiling, and a fully wild cell has det3 != 0,
+        # so no entry of a fully wild block is a unit mod N.
+        blocks = [z36] + [pqrs_tiling(params) for params in iter_pqrs_params(3000)]
+        for t in blocks:
+            n = t.ring.modulus
+            assert all(gcd(e, n) > 1 for row in t.block.to_int_rows() for e in row), t
 
     def test_sweep_instances_verify(self):
         for params in iter_pqrs_params(300):

@@ -174,6 +174,13 @@ class TestSearch:
         for n in (2, 3, 5):
             assert search_fully_wild(SearchConfig(n, 2, 2)).solutions == ()
         assert search_fully_wild(SearchConfig(3, 4, 4)).solutions == ()
+        # Over Z/p^k every entry of a fully wild block is a multiple of p (a
+        # unit e with e * det3 = 0 would force det3 = 0), so every det2 is 0
+        # mod p, never 1: no block exists, and the search finds none.
+        cases = [(4, 2, 2), (8, 2, 2), (9, 2, 2), (25, 2, 2), (4, 3, 3), (8, 3, 3), (9, 3, 3),
+                 (8, 3, 4), (9, 3, 4), (4, 4, 4)]
+        for n, h, w in cases:
+            assert search_fully_wild(SearchConfig(n, h, w)).solutions == (), (n, h, w)
 
     def test_budget_exhaustion(self):
         full = search_fully_wild(SearchConfig(6, 2, 2))

@@ -32,6 +32,7 @@ from sl2tilings import (
     corner_audit,
     corner_det3,
     dodgson_audit,
+    enumerate_block_classes,
     extract_window,
     parameter_index,
     parameter_position,
@@ -589,6 +590,36 @@ class TestDensity:
         disc = [(i, j) for i in range(-6, 7) for j in range(-6, 7) if i * i + j * j <= 36]
         assert wild_density_windows(t, [6])[0].wild == sum(classify_entry(t, *c)[0] for c in disc)
 
+    def test_no_analysis_calls_the_oracle(self, monkeypatch):
+        # The model of the test above, with the per-cell definition refused:
+        # every analysis reads payload windows, and agrees with the
+        # definition cell by cell once it is back.
+        base = patched_model((1, 3, 8, 0), formal=False)
+        t = Patched(base.ring, base.base, base.lattice, NumericParameters.from_mapping({(-1, 3): 5, (1, 5): -5}, 1))
+
+        def refuse(*args):
+            raise AssertionError("the per-cell oracle was called")
+
+        radii = [0, 2, 6]
+        with monkeypatch.context() as patch:
+            for owner, name in ((tiling, "classify_entry"), (tiling, "centered_det3"), (Patched, "entry")):
+                patch.setattr(owner, name, refuse)
+            report = wildness_report(t, -4, -2, 9, 11)
+            samples = wild_density_windows(t, radii)
+            exact = wild_density_exact(t)
+            fault = verify_sl2(t)
+        assert report.wild == tuple(tuple(classify_entry(t, i, j)[0] for j in range(-2, 9)) for i in range(-4, 5))
+        assert not report.wild[4][6]
+        for r, sample in zip(radii, samples):
+            disc = [(i, j) for i in range(-r, r + 1) for j in range(-r, r + 1) if i * i + j * j <= r * r]
+            assert sample.wild == sum(classify_entry(t, *c)[0] for c in disc)
+        # A p x q rectangle is a fundamental domain of the torus lattice; this
+        # one lies away from the explicit values.
+        p, q, _ = tiling._torus_basis(t)
+        domain = [(i, j) for i in range(100, 100 + p) for j in range(q)]
+        assert exact == Fraction(sum(classify_entry(t, *c)[0] for c in domain), p * q)
+        assert fault is None
+
     def test_det3_evaluations_per_call(self, catalog, wildest_formal, monkeypatch):
         calls = []
         det3 = matrices.det3
@@ -814,6 +845,27 @@ class TestAuditWindow:
 
         for t in (wildest, z36, wildest_formal):
             assert ring_ops(t, 20) == ring_ops(t, 60)
+
+    def test_no_value_built_per_cell(self, wildest, z36, wildest_formal, monkeypatch):
+        # Models fill payload rows and analyses read them: the ring values
+        # built are as many on 24x24 as on 12x12, blocks of 6 as of 3.
+        built = []
+        init = RingValue.__init__
+        monkeypatch.setattr(RingValue, "__init__", lambda self, *args: built.append(1) or init(self, *args))
+
+        def values_built(t, size):
+            built.clear()
+            win = extract_window(t, -7, 5, size, size)
+            assert verify_window(win) is None
+            assert not wildness_report(t, -7, 5, size, size).violations
+            checks = ("dodgson", "corner") if isinstance(t.ring, ModularRing) else ("dodgson", "corner", "cross")
+            assert audit_window(win, checks) == [None] * len(checks)
+            if t is wildest_formal:
+                assert enumerate_block_classes(t, size // 4)
+            return len(built)
+
+        for t in (wildest, z36, wildest_formal):
+            assert values_built(t, 12) == values_built(t, 24)
 
     def test_stops_when_every_check_has_a_finding(self, monkeypatch):
         calls = []

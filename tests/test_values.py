@@ -42,11 +42,7 @@ ZERO, ONE, MINUS = Z.value(0), Z.value(1), Z.value(-1)
 UNIT_RULE = RuleBased(Z, (ZERO, ONE, ZERO, MINUS))
 WILDEST = SublatticeSpec(3, 1, 10, 6)
 WINDOW = Window(Matrix.from_ints(Z, [[1, 1], [0, 1]]), (2, -1))
-MATRIX_REPR = (
-    "Matrix(spec=IntegerRing(), rows=2, cols=2, entries=("
-    "RingValue(spec=IntegerRing(), payload=1), RingValue(spec=IntegerRing(), payload=1), "
-    "RingValue(spec=IntegerRing(), payload=0), RingValue(spec=IntegerRing(), payload=1)))"
-)
+MATRIX_REPR = "Matrix(spec=IntegerRing(), rows=2, cols=2, entries=(1, 1, 0, 1))"
 WINDOW_REPR = f"Window(matrix={MATRIX_REPR}, origin=(2, -1))"
 UNIT_RULE_REPR = (
     "RuleBased(ring=IntegerRing(), table=(RingValue(spec=IntegerRing(), payload=0), "
@@ -62,8 +58,7 @@ VALUES = [
     (POLYNOMIALS.variable(3) * POLYNOMIALS.value(-2), ("spec", "payload"),
      "RingValue(spec=PolynomialRing(), payload=((((3, 1),), -2),))"),
     (Matrix.from_ints(ModularRing(6), [[5]]), ("spec", "rows", "cols", "entries"),
-     "Matrix(spec=ModularRing(modulus=6), rows=1, cols=1, "
-     "entries=(RingValue(spec=ModularRing(modulus=6), payload=5),))"),
+     "Matrix(spec=ModularRing(modulus=6), rows=1, cols=1, entries=(5,))"),
     (PqrsParams(3, 2, 4, 3), ("p", "q", "r", "s"), "PqrsParams(p=3, q=2, r=4, s=3)"),
     (RenderOptions(labels=True), ("cell_size", "labels"), "RenderOptions(cell_size=24, labels=True)"),
     (SearchConfig(5, 3, node_budget=9),
