@@ -11,8 +11,10 @@ above-left of it, a linear congruence whose gcd-many solutions come as a
 iterators, one per placed cell, so its depth is bounded by the block's
 cells, not by the interpreter's recursion limit.  Every candidate tried
 counts as a node; the wrapped windows are checked on plain ints as soon as
-their last cell is placed.  Solutions are canonicalized by torus translation
-and reported in lexicographic order.
+their last cell is placed.  A complete block's det3s are read from the
+corner formula ``corner_det3``, valid as its every wrapped det2 is 1.
+Solutions are canonicalized by torus translation and reported in
+lexicographic order.
 
 Without a node budget the search is quotiented by unit scaling.  For a unit
 u mod N, multiplying the even columns of a block by u and the odd ones by
@@ -32,8 +34,9 @@ time.  A budget cuts the traversal in candidate order, which scaling does
 not keep, so a budgeted search runs the plain traversal, worker k taking
 every workers-th first-cell value from the k-th with its share of the
 budget; its cost is bounded by the budget already.  Candidate values are
-never listed, so a budgeted search at any modulus needs no more memory than
-its block.
+never listed, and each DFS keeps at most 2^16 congruence ranges, so a
+budgeted search at any modulus needs no more memory than its block and
+that cache.
 
 The exhaustive oracle for cross-checking shares no code with the DFS: it
 keeps the pairs of rows whose wrapped 2x2 windows all have determinant 1,
@@ -49,12 +52,14 @@ from itertools import compress, islice, product, repeat
 from math import gcd
 
 from .errors import UnsupportedOperationError, ValidationError, _Frozen
-from .matrices import det2, det2_scan, det3_scan, solve_linear_congruence
+from .matrices import corner_det3, det2, det2_scan, det3_scan, solve_linear_congruence
 
 ORACLE_STATE_GUARD = 1 << 28
 # A budgeted search builds one part per worker, min(worker count, budget) of them.
 _MAX_PARTS = 10_000
 _MAX_STEPS = 1 << 20
+# The congruence ranges one DFS keeps, the first it meets; emptying a full cache thrashes.
+_MAX_RANGES = 1 << 16
 
 Block = tuple[tuple[int, ...], ...]
 
@@ -152,6 +157,18 @@ def _scaled(block: Block, u: int, n: int, by_rows: bool) -> Block:
     return tuple(tuple(x * (v if j % 2 else u) % n for j, x in enumerate(row)) for row in block)
 
 
+def _leaf_is_wild(b: list[list[int]], n: int, centers) -> bool:
+    """Every wrapped det3 of the list block b is nonzero mod n, each by its
+    corner formula, which holds because every wrapped det2 of b is 1 mod n.
+    ``centers`` holds (row above, row, row below, column left, column,
+    column right) of every cell, wrapped."""
+    for up, i, down, left, j, right in centers:
+        above, below = b[up], b[down]
+        if not corner_det3(b[i][j], (above[left], above[right], below[left], below[right])) % n:
+            return False
+    return True
+
+
 def _dfs(part) -> tuple[tuple[Block, ...], int, bool]:
     """Fill the block row-major from an explicit stack of candidate iterators.
 
@@ -160,11 +177,14 @@ def _dfs(part) -> tuple[tuple[Block, ...], int, bool]:
     kept only if the wrapped windows it closes have determinant 1.  A kept
     candidate on the last cell completes a block; elsewhere it pushes the
     candidates of the next cell.  An exhausted iterator is popped to resume
-    the cell before it.  Returns the sorted canonical solutions, the node
-    count and whether the budget ran out.
+    the cell before it.  Interior candidates come from a cache of ranges
+    keyed by their congruence nw*x = c.  Returns the sorted canonical
+    solutions, the node count and whether the budget ran out.
     """
     n, h, w, first_domain, free_domain, budget = part
     east, south = w - 1, h - 1
+    centers = [((i - 1) % h, i, (i + 1) % h, (j - 1) % w, j, (j + 1) % w) for i in range(h) for j in range(w)]
+    ranges: dict[tuple[int, int], range] = {}
     b = [[0] * w for _ in range(h)]
     top = b[0]
     solutions: set[Block] = set()
@@ -192,13 +212,17 @@ def _dfs(part) -> tuple[tuple[Block, ...], int, bool]:
             elif i < south:
                 i, j = i + 1, 0
             else:
-                block = tuple(map(tuple, b))
-                if block_is_fully_wild(block, n):
-                    solutions.add(canonical_block(block))
+                if _leaf_is_wild(b, n, centers):
+                    solutions.add(canonical_block(tuple(map(tuple, b))))
                 continue
             if i and j:
-                nw, ne, sw = b[i - 1][j - 1], b[i - 1][j], b[i][j - 1]
-                stack.append(iter(solve_linear_congruence(nw, 1 + ne * sw, n)))
+                key = b[i - 1][j - 1], (1 + b[i - 1][j] * b[i][j - 1]) % n
+                candidates = ranges.get(key)
+                if candidates is None:
+                    candidates = solve_linear_congruence(*key, n)
+                    if len(ranges) < _MAX_RANGES:
+                        ranges[key] = candidates
+                stack.append(iter(candidates))
             else:
                 stack.append(iter(free_domain))
             break

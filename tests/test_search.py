@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 import sl2tilings.search
 from sl2tilings.cli import main
-from sl2tilings.matrices import det2, solve_linear_congruence
+from sl2tilings.matrices import corner_det3, det2, solve_linear_congruence
 from sl2tilings import (
+    PqrsParams,
     SearchConfig,
     UnsupportedOperationError,
     ValidationError,
@@ -17,6 +18,7 @@ from sl2tilings import (
     block_is_sl2,
     brute_force_oracle,
     canonical_block,
+    pqrs_tiling,
     search_fully_wild,
     z36_tiling,
 )
@@ -320,6 +322,41 @@ def _scalings(block, modulus):
         )
 
 
+class TestRangeCache:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SearchConfig(6, 4, 4),
+            SearchConfig(36, 4, 4, node_budget=20_000),
+            SearchConfig(6, 4, 4, prune_nonunits=True),
+            SearchConfig(5, 4, 4, node_budget=20_000, worker_count=2),
+        ],
+    )
+    def test_a_three_entry_cache_changes_nothing(self, monkeypatch, config):
+        # Holding three ranges, the cache still hands out the same ranges, so
+        # the traversal is the same node for node; it only solves more
+        # congruences.
+        calls = []
+
+        def counted(a, c, modulus):
+            calls.append(a)
+            return solve_linear_congruence(a, c, modulus)
+
+        monkeypatch.setattr(sl2tilings.search, "solve_linear_congruence", counted)
+        outcomes = []
+        for bound in (1 << 16, 3):
+            monkeypatch.setattr(sl2tilings.search, "_MAX_RANGES", bound)
+            calls.clear()
+            result = search_fully_wild(config)
+            outcomes.append(((result.solutions, result.stats.nodes, result.stats.budget_exhausted), len(calls)))
+        (default, default_calls), (small, small_calls) = outcomes
+        assert small == default
+        # The budgeted runs meet too few congruences to fill three entries;
+        # the two-worker one solves them in its own processes.
+        if config.node_budget is None:
+            assert 0 < default_calls < small_calls
+
+
 class TestUnitQuotient:
     # (modulus, rows, cols): even x even, odd x even, even x odd and odd x odd
     # shapes whose SL2 classes are non-empty, so the comparisons with the wild
@@ -333,7 +370,7 @@ class TestUnitQuotient:
         [(*shape, prune) for shape in SHAPES for prune in (False, True)] + [(6, 4, 4, True)],
     )
     def test_matches_plain_traversal(self, monkeypatch, modulus, rows, cols, prune):
-        monkeypatch.setattr(sl2tilings.search, "block_is_fully_wild", lambda block, n: True)
+        monkeypatch.setattr(sl2tilings.search, "_leaf_is_wild", lambda b, n, centers: True)
         cells = [x for x in range(modulus) if not prune or gcd(x, modulus) != 1]
         plain = sl2tilings.search._dfs((modulus, rows, cols, cells, cells, None))
         quotient = search_fully_wild(SearchConfig(modulus, rows, cols, prune_nonunits=prune))
@@ -349,7 +386,7 @@ class TestUnitQuotient:
 
     @pytest.mark.parametrize("modulus, rows, cols", SHAPES)
     def test_solutions_closed_under_scalings(self, monkeypatch, modulus, rows, cols):
-        monkeypatch.setattr(sl2tilings.search, "block_is_fully_wild", lambda block, n: True)
+        monkeypatch.setattr(sl2tilings.search, "_leaf_is_wild", lambda b, n, centers: True)
         solutions = set(search_fully_wild(SearchConfig(modulus, rows, cols)).solutions)
         for block in solutions:
             for scaled in _scalings(block, modulus):
@@ -405,7 +442,10 @@ class TestOracle:
     def test_equivalence_on_all_sl2_blocks(self, monkeypatch, modulus, rows, cols, classes, blocks):
         # With a wild filter that accepts every block, the DFS and the oracle
         # both return the torus classes of all wrapped SL2 blocks: a non-empty
-        # set, where the fully-wild sets at these moduli are empty.
+        # set, where the fully-wild sets at these moduli are empty.  The DFS
+        # checks its leaves with _leaf_is_wild, the oracle with
+        # block_is_fully_wild.
+        monkeypatch.setattr(sl2tilings.search, "_leaf_is_wild", lambda b, n, centers: True)
         monkeypatch.setattr(sl2tilings.search, "block_is_fully_wild", lambda block, n: True)
         dfs = search_fully_wild(SearchConfig(modulus, rows, cols))
 
@@ -421,10 +461,45 @@ class TestOracle:
         assert oracle.stats.nodes == modulus ** (rows * cols)
 
 
-def _torus_orbit_size(block):
+class TestLeafCheck:
+    # Shapes whose wrapped SL2 blocks the oracle lists with its wild filter
+    # off; the 2-row and 2-column ones exist only mod 2.
+    SHAPES = [(4, 4, 4), (6, 3, 3), (3, 3, 4), (8, 3, 3), (10, 3, 3),
+              (2, 2, 3), (2, 3, 2), (2, 2, 4), (2, 4, 2), (2, 2, 5), (2, 5, 2), (2, 2, 6), (2, 6, 2)]
+
+    def test_corner_formula_on_every_wrapped_sl2_block(self, monkeypatch):
+        monkeypatch.setattr(sl2tilings.search, "block_is_fully_wild", lambda block, n: True)
+        cases = [(t, n) for n, h, w in self.SHAPES
+                 for block in brute_force_oracle(n, h, w, allow_large=True).solutions for t in _translates(block)]
+        pqrs = tuple(map(tuple, pqrs_tiling(PqrsParams(3, 2, 4, 3)).block.to_int_rows()))
+        known = [(t, 36) for t in _translates(Z36_BLOCK)] + [(t, 72) for t in _translates(pqrs)]
+        cases += known
+        assert (len(cases), len(known)) == (8_296, 32)
+        wild = 0
+        for block, n in cases:
+            h, w = len(block), len(block[0])
+            for i in range(h):
+                for j in range(w):
+                    window = [[block[(i + di) % h][(j + dj) % w] for dj in (-1, 0, 1)] for di in (-1, 0, 1)]
+                    corners = (window[0][0], window[0][2], window[2][0], window[2][2])
+                    assert corner_det3(window[1][1], corners) % n == _sarrus(window) % n
+            centers = [((i - 1) % h, i, (i + 1) % h, (j - 1) % w, j, (j + 1) % w) for i in range(h) for j in range(w)]
+            leaf = sl2tilings.search._leaf_is_wild(list(map(list, block)), n, centers)
+            assert leaf == block_is_fully_wild(block, n)
+            wild += leaf
+        # The translates of z36 and pqrs are fully wild, and no other block is.
+        assert wild == len(known)
+
+
+def _translates(block):
+    """The distinct torus translates of the block, in ascending order."""
     h, w = len(block), len(block[0])
-    return len({
+    return sorted({
         tuple(tuple(block[(i + di) % h][(j + dj) % w] for j in range(w)) for i in range(h))
         for di in range(h)
         for dj in range(w)
     })
+
+
+def _torus_orbit_size(block):
+    return len(_translates(block))
