@@ -172,9 +172,6 @@ class IntegerRing(_Frozen):
     def value(self, n: int) -> "RingValue":
         return RingValue(self, int(n))
 
-    def zero(self) -> "RingValue":
-        return self.value(0)
-
     def one(self) -> "RingValue":
         return self.value(1)
 
@@ -198,9 +195,6 @@ class ModularRing(_Frozen):
     def reduce(self, x: int) -> int:
         return x % self.modulus
 
-    def zero(self) -> "RingValue":
-        return self.value(0)
-
     def one(self) -> "RingValue":
         return self.value(1)
 
@@ -223,9 +217,6 @@ class PolynomialRing(_Frozen):
 
     def reduce(self, x: "_Poly") -> "_Poly":
         return x
-
-    def zero(self) -> "RingValue":
-        return self.value(0)
 
     def one(self) -> "RingValue":
         return self.value(1)
@@ -291,10 +282,6 @@ class RingValue(_Frozen):
     def constant_value(self) -> int | None:
         """The integer this value equals, or None for a non-constant polynomial."""
         return self.payload.constant() if isinstance(self.spec, PolynomialRing) else self.payload
-
-    def single_variable(self) -> int | None:
-        """If the value is exactly one variable a_k, return k, else None."""
-        return self.payload.single_variable() if isinstance(self.spec, PolynomialRing) else None
 
     def __str__(self) -> str:
         return str(self.payload)

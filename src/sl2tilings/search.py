@@ -33,23 +33,27 @@ orbit exactly when gcd(x, N) = gcd(y, N).  Workers take the orbits one at a
 time.  A budget cuts the traversal in candidate order, which scaling does
 not keep, so a budgeted search runs the plain traversal, worker k taking
 every workers-th first-cell value from the k-th with its share of the
-budget; its cost is bounded by the budget already.  Candidate values are
-never listed, and each DFS keeps at most 2^16 congruence ranges, so a
-budgeted search at any modulus needs no more memory than its block and
-that cache.
+budget; its cost is the budget times the widest gap between candidates.
+Under pruning, a modulus over 2^20 + 1 with no prime factor up to 2^20 has
+a gap over 2^20 residues, so its budgeted search is refused.  Each DFS part
+is plain data, (modulus, rows, cols, prune, first, budget), ``first`` being
+a slice of the candidate order: one index for an orbit, every workers-th
+for a worker.  Candidate values are never listed, and each DFS keeps at
+most 2^16 congruence ranges, so a budgeted search at any modulus needs no
+more memory than its block and that cache.
 
-The exhaustive oracle for cross-checking shares no code with the DFS: it
-keeps the pairs of rows whose wrapped 2x2 windows all have determinant 1,
-built column by column from a table of every 2x2 window, and walks every
-cyclic chain of them, so each of the modulus^(rows*cols) blocks is either
-produced or ruled out by a failing row pair.
+The exhaustive oracle for cross-checking shares only ``canonical_block``
+with the DFS: it keeps the pairs of rows whose wrapped 2x2 windows all have
+determinant 1, built column by column from a table of every 2x2 window, and
+walks every cyclic chain of them, so each of the modulus^(rows*cols) blocks
+is either produced or ruled out by a failing row pair.
 """
 
 from __future__ import annotations
 
 import os
 from itertools import compress, islice, product, repeat
-from math import gcd
+from math import gcd, isqrt
 
 from .errors import UnsupportedOperationError, ValidationError, _Frozen
 from .matrices import corner_det3, det2, det2_scan, det3_scan, solve_linear_congruence
@@ -129,23 +133,13 @@ def canonical_block(block: Block) -> Block:
     return best
 
 
-class _Nonunits(_Frozen):
-    """The non-units mod ``modulus`` in ascending order, from the ``start``-th
-    in steps of ``step``: iterable again and again, picklable, never stored."""
-
-    __slots__ = ("modulus", "start", "step")
-
-    def __init__(self, modulus: int, start: int = 0, step: int = 1) -> None:
-        self._assign(modulus, start, step)
-
-    def __iter__(self):
-        cells = range(self.modulus)
-        nonunits = compress(cells, map((1).__lt__, map(gcd, cells, repeat(self.modulus))))
-        return islice(nonunits, self.start, None, self.step)
-
-    def __getitem__(self, part: slice) -> _Nonunits:
-        # Only ever sliced as domain[k::workers], like a range.
-        return _Nonunits(self.modulus, self.start + part.start * self.step, self.step * part.step)
+def _candidates(n: int, prune: bool):
+    """A fresh iterator over the residues mod n in ascending order, or over
+    the non-units alone, found by one gcd each; never listed."""
+    cells = range(n)
+    if not prune:
+        return iter(cells)
+    return compress(cells, map((1).__lt__, map(gcd, cells, repeat(n))))
 
 
 def _scaled(block: Block, u: int, n: int, by_rows: bool) -> Block:
@@ -172,7 +166,10 @@ def _leaf_is_wild(b: list[list[int]], n: int, centers) -> bool:
 def _dfs(part) -> tuple[tuple[Block, ...], int, bool]:
     """Fill the block row-major from an explicit stack of candidate iterators.
 
-    The top iterator yields the candidates of the cell at (i, j).  The budget
+    The part is plain data, (modulus, rows, cols, prune, first, budget): the
+    first cell takes the ``first`` slice of the candidate order, every other
+    free cell all candidates, the non-units alone when ``prune``.  The top
+    iterator yields the candidates of the cell at (i, j).  The budget
     is checked before each candidate, which then counts as a node and is
     kept only if the wrapped windows it closes have determinant 1.  A kept
     candidate on the last cell completes a block; elsewhere it pushes the
@@ -181,7 +178,7 @@ def _dfs(part) -> tuple[tuple[Block, ...], int, bool]:
     keyed by their congruence nw*x = c.  Returns the sorted canonical
     solutions, the node count and whether the budget ran out.
     """
-    n, h, w, first_domain, free_domain, budget = part
+    n, h, w, prune, first, budget = part
     east, south = w - 1, h - 1
     centers = [((i - 1) % h, i, (i + 1) % h, (j - 1) % w, j, (j + 1) % w) for i in range(h) for j in range(w)]
     ranges: dict[tuple[int, int], range] = {}
@@ -190,7 +187,7 @@ def _dfs(part) -> tuple[tuple[Block, ...], int, bool]:
     solutions: set[Block] = set()
     nodes = 0
     i = j = 0
-    stack = [iter(first_domain)]
+    stack = [islice(_candidates(n, prune), first.start, first.stop, first.step)]
     while stack:
         row = b[i]
         for x in stack[-1]:
@@ -224,7 +221,7 @@ def _dfs(part) -> tuple[tuple[Block, ...], int, bool]:
                         ranges[key] = candidates
                 stack.append(iter(candidates))
             else:
-                stack.append(iter(free_domain))
+                stack.append(_candidates(n, prune))
             break
         else:
             stack.pop()
@@ -247,33 +244,34 @@ def _run(parts: list, workers: int) -> list:
         return list(pool.map(_dfs, parts))
 
 
-def _orbit_dfs(config: SearchConfig, domain) -> list:
-    """``_dfs`` outcomes of the first-cell values in ``domain``: one run per
-    unit orbit, from its least member, expanded to the whole orbit."""
-    n, h, w = config.modulus, config.rows, config.cols
+def _orbit_dfs(config: SearchConfig) -> list:
+    """``_dfs`` outcomes of every first-cell candidate: one run per unit
+    orbit, from its least member, expanded to the whole orbit."""
+    n, h, w, prune = config.modulus, config.rows, config.cols, config.prune_nonunits
     # A lower bound on the steps: n - 1 residues walked, and from any first
     # cell every filling of the rest of row 0 and of cell (1, 0), never
     # pruned: |D|^w nodes, |D| taken as 1 under pruning so that n is never
     # factored.  Powers past 2^64, over the bound already, are not built.
-    d = 1 if config.prune_nonunits else n
+    d = 1 if prune else n
     if max(n - 1, d ** min(w, 64)) > _MAX_STEPS:
         raise UnsupportedOperationError(
             f"an unbudgeted search walks {n - 1} residues and at least {d}^{w} DFS nodes, "
             f"over the bound of {_MAX_STEPS} steps; pass --budget to cap the nodes"
         )
+    indexed = enumerate(_candidates(n, prune))
     if h % 2 and w % 2:
         # Every cell times u, which keeps det2 only when u^2 = 1.
         units = [u for u in range(1, n) if u * u % n == 1]
-        reps = [x for x in domain if x == min(u * x % n for u in units)]
+        reps = [(k, x) for k, x in indexed if x == min(u * x % n for u in units)]
     else:
         # Under all units, x and y share an orbit iff gcd(x, n) = gcd(y, n);
         # its least member is that gcd, or 0 when it is n.
         units = [u for u in range(1, n) if gcd(u, n) == 1]
-        reps = [x for x in domain if gcd(x, n) in (x, n)]
-    parts = [(n, h, w, (x,), domain, None) for x in reps]
+        reps = [(k, x) for k, x in indexed if gcd(x, n) in (x, n)]
+    parts = [(n, h, w, prune, slice(k, k + 1), None) for k, _ in reps]
     by_rows = w % 2 == 1
     outcomes = []
-    for x, (sols, nodes, _) in zip(reps, _run(parts, min(config.worker_count, len(parts)))):
+    for (_, x), (sols, nodes, _) in zip(reps, _run(parts, min(config.worker_count, len(parts)))):
         # One scaling to each other value u*x of the orbit; the subtree under
         # it is the scaled subtree under x.
         scalings = {u * x % n: u for u in units}
@@ -284,11 +282,9 @@ def _orbit_dfs(config: SearchConfig, domain) -> list:
 
 
 def search_fully_wild(config: SearchConfig) -> SearchResult:
-    n = config.modulus
-    domain = _Nonunits(n) if config.prune_nonunits else range(n)
-    budget = config.node_budget
+    n, prune, budget = config.modulus, config.prune_nonunits, config.node_budget
     if budget is None:
-        outcomes = _orbit_dfs(config, domain)
+        outcomes = _orbit_dfs(config)
     else:
         # More workers than first-cell values or budgeted nodes would get no
         # work; counting the values only up to that cap keeps it lazy.
@@ -298,10 +294,17 @@ def search_fully_wild(config: SearchConfig) -> SearchResult:
                 f"a budgeted search splits into min(workers, budget) = {cap} parts, "
                 f"over the bound of {_MAX_PARTS}"
             )
-        workers = sum(1 for _ in islice(domain, cap))
+        # Trial division past sqrt(n) is not needed: an n with no factor up
+        # to sqrt(n) is prime, and n - 1 > 2^20 then puts it past 2^20.
+        if prune and n - 1 > _MAX_STEPS and all(map(n.__mod__, range(2, min(isqrt(n), _MAX_STEPS) + 1))):
+            raise UnsupportedOperationError(
+                f"a pruned search walks over {_MAX_STEPS} residues from one non-unit to the next, "
+                f"as {n} has no prime factor up to {_MAX_STEPS}; search without --prune-nonunits"
+            )
+        workers = sum(1 for _ in islice(_candidates(n, prune), cap))
         # Worker k gets budget // workers nodes, one more while k < budget % workers.
         parts = [
-            (n, config.rows, config.cols, domain[k::workers], domain,
+            (n, config.rows, config.cols, prune, slice(k, None, workers),
              budget // workers + (k < budget % workers))
             for k in range(workers)
         ]

@@ -394,10 +394,8 @@ class CellColor(enum.Enum):
     OTHER_NONZERO = "other-nonzero"
 
 
-def _value_color(value: RingValue, wild: bool, is_parameter: bool) -> CellColor:
-    if wild:
-        return CellColor.ZERO_WILD
-    if is_parameter or value.constant_value() is None:
+def _value_color(value: RingValue) -> CellColor:
+    if value.constant_value() is None:
         return CellColor.PARAMETER
     if value.is_one():
         return CellColor.PLUS_ONE
@@ -412,7 +410,7 @@ def _value_colors(spec: RingSpec, rows: Sequence[Sequence]) -> list[list[CellCol
     """The colors of rows of payloads by value alone: PARAMETER for a
     non-constant polynomial, else one _value_color per distinct payload."""
     palette = {p: CellColor.PARAMETER if isinstance(p, _Poly) and p.constant() is None
-               else _value_color(RingValue(spec, p), False, False) for p in set(chain.from_iterable(rows))}
+               else _value_color(RingValue(spec, p)) for p in set(chain.from_iterable(rows))}
     return [list(map(palette.__getitem__, row)) for row in rows]
 
 

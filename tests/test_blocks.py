@@ -76,7 +76,7 @@ def reference_form(win):
             rename, out = {}, []
             for r, row in enumerate(image):
                 for c, v in enumerate(row):
-                    var = v.single_variable()
+                    var = v.payload.single_variable()
                     if var is not None:
                         rename.setdefault(var, len(rename) + 1)
                         out.append(f"p{rename[var]}")
@@ -141,7 +141,7 @@ class TestCanonicalForm:
             row = []
             for c in range(5):
                 v = win.at(r, c)
-                k = v.single_variable()
+                k = v.payload.single_variable()
                 row.append(POLYNOMIALS.variable(k + 40) if k else v)
             rows.append(row)
         other = Window(Matrix.from_rows(POLYNOMIALS, rows), (0, 0))

@@ -677,6 +677,24 @@ class TestWindowBound:
             assert (proc.returncode, proc.stdout, proc.stderr) == (
                 0, b"# solutions=0 nodes=10 budget_exhausted=true\n", b"")
 
+    def test_pruned_budgeted_search_needs_a_small_prime_factor(self, capsys):
+        # A budget counts nodes, not the units walked between two non-units:
+        # with no prime factor up to 2^20 they lie over 2^20 apart, so such a
+        # modulus past 2^20 + 1 is refused before any candidate is counted,
+        # primes and a product of two primes over 2^20 alike.  2^20 + 1 and a
+        # huge even modulus still run, and so does the unpruned search.
+        message = ("error: a pruned search walks over 1048576 residues from one non-unit to the next, "
+                   "as {} has no prime factor up to 1048576; search without --prune-nonunits\n")
+        argv = ["search", "--rows", "2", "--cols", "2", "--budget", "10", "--modulus"]
+        for n in (1_048_583, 10_000_019, 100_000_007, 1_048_583 * 1_048_589, 2**61 - 1):
+            start = time.perf_counter()
+            assert main([*argv, str(n), "--prune-nonunits"]) == 2
+            assert time.perf_counter() - start < 1
+            assert capsys.readouterr() == ("", message.format(n))
+        for extra in (["1048577", "--prune-nonunits"], [str(2 * (2**61 - 1)), "--prune-nonunits"], ["10000019"]):
+            assert main([*argv, *extra]) == 0
+            assert capsys.readouterr() == ("# solutions=0 nodes=10 budget_exhausted=true\n", "")
+
     def test_budgeted_part_bound(self, tmp_path, capsys):
         # A budgeted search builds min(--jobs, --budget) parts: 10,000 pass the
         # bound (5 first-cell values make 5 parts here); more are refused
@@ -740,6 +758,67 @@ class TestWindowBound:
             code, out, err = run_cli(argv[0], str(path), *argv[1:], "--window", "0", "0", "2", "2",
                                      capsys=capsys)
             assert (code, out, err) == (2, "", "error: --window applies to model documents only\n")
+
+
+def _doc(*headers, grid="1"):
+    return "sl2tiling v1\n" + "".join(h + "\n" for h in headers) + "\n" + grid + "\n"
+
+
+def _patched(lattice="3 1 10 6", params="default=1"):
+    return _doc("ring: Z", "kind: patched", "rows: 1", "cols: 4", f"lattice: {lattice}", f"params: {params}",
+                grid="0 1 0 -1")
+
+
+_WINDOW = ("ring: Z", "kind: window", "rows: 1", "cols: 1")
+
+# A malformed document, and the one line `verify` prints for it with exit 2.
+PARSE_ERRORS = [
+    (_doc("ring: Z/1", *_WINDOW[1:]), "line 2, col 1: modulus must be at least 2, got 1"),
+    (_doc("ring: Z[a]", *_WINDOW[1:], grid="a0"), "line 7, col 1: variable index must be positive in 'a0'"),
+    (_doc("ring: Z", "kind: window", "rows: x", "cols: 1"), "line 4, col 1: rows needs integers, got 'x'"),
+    (_doc("ring: Z", "kind: window", "rows: 1 2", "cols: 1"), "line 4, col 1: rows needs 1 integers, got 2"),
+    (_doc("ring: Z", "kind: window", "rows: 1", "cols: x"), "line 5, col 1: cols needs integers, got 'x'"),
+    (_doc("ring: Z", "kind: window", "rows: 1", "cols:"), "line 5, col 1: cols needs 1 integers, got 0"),
+    (_doc(*_WINDOW, "origin: 0"), "line 6, col 1: origin needs 2 integers, got 1"),
+    (_doc(*_WINDOW, "origin: 0 x"), "line 6, col 1: origin needs integers, got '0 x'"),
+    (_patched(lattice="3 1 10"), "line 6, col 1: lattice needs 4 integers, got 3"),
+    (_patched(lattice="3 1 10 x"), "line 6, col 1: lattice needs integers, got '3 1 10 x'"),
+    (_patched(lattice="3 1 0 6"), "line 6, col 1: lattice modulus must be positive, got 0"),
+    (_patched(params="x"), "line 7, col 1: bad parameter entry 'x'"),
+    (_patched(params="default=x"), "line 7, col 1: bad parameter value 'x'"),
+    (_patched(params="default=1,default=2"), "line 7, col 1: duplicate default parameter value"),
+    (_patched(params="5=2,default=1"), "line 7, col 1: bad parameter position '5'"),
+    (_patched(params="a:b=2,default=1"), "line 7, col 1: bad parameter position 'a:b'"),
+    (_patched(params="0:6=2,0:6=3,default=1"), "line 7, col 1: duplicate parameter position '0:6'"),
+    (_patched(params="0:6=2"), "line 7, col 1: numeric parameters need a default=<value> entry"),
+    (_patched(params="default=0"), "line 7, col 1: default parameter value must be nonzero"),
+    ("sl2tiling v1\nring: Z\n", "line 2, col 1: missing blank line before the grid"),
+    ("sl2tiling v1\nring Z\n\n1\n", "line 2, col 1: malformed header line 'ring Z'"),
+    ("sl2tiling v1\nring: Z\nring: Z\n\n1\n", "line 3, col 1: duplicate header 'ring'"),
+    (_doc("ring: Z", "kind: rule", "rows: 1", "cols: 1"), "line 3, col 1: unknown kind 'rule'"),
+    (_doc("ring: Z", "kind: window", "rows: 0", "cols: 1"), "line 4, col 1: grid shape must be positive, got 0x1"),
+]
+
+
+class TestErrorLines:
+    @pytest.mark.parametrize("doc, message", PARSE_ERRORS, ids=[m for _, m in PARSE_ERRORS])
+    def test_parse_error(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "bad.grid"
+        path.write_text(doc)
+        assert run_cli("verify", str(path), capsys=capsys) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["generate", "wildest", "--params", "x"], "bad parameter entry 'x', expected k=v"),
+        (["generate", "wildest", "--params", "1=x"], "bad parameter value 'x'"),
+        (["generate", "wildest", "--params", "k=1"], "bad parameter index 'k'"),
+        (["density", "win.grid"], "density applies to model documents, not windows"),
+        (["density", "unit.grid", "--radii", "1,x"], "bad radii list '1,x'"),
+    ])
+    def test_argument_error(self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "win.grid").write_text(_doc(*_WINDOW))
+        (tmp_path / "unit.grid").write_text(sl2tilings.write_grid(sl2tilings.unit_tiling()))
+        assert run_cli(*argv, capsys=capsys) == (2, "", f"error: {message}\n")
 
 
 class TestWriteErrors:

@@ -1,6 +1,7 @@
 import ast
+import re
 from pathlib import Path
-from types import ModuleType
+from types import FunctionType, ModuleType
 
 import sl2tilings
 
@@ -36,4 +37,29 @@ def test_every_import_is_used():
             ):
                 used.update(ast.literal_eval(node.value))
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert unused == []
+
+
+def test_public_api_is_used_outside_tests():
+    # Every __all__ name, and every public method of an exported class, must be
+    # mentioned in the package past its definition and re-export, in perfbench
+    # or in the README: public API that only the tests call should go.
+    root = Path(__file__).resolve().parents[1]
+    sources = [p for p in sorted(Path(sl2tilings.__file__).parent.glob("*.py")) if p.name != "__init__.py"]
+    sources += [*sorted((root / "perfbench").glob("*.py")), root / "README.md"]
+    text = "\n".join(p.read_text(encoding="utf-8") for p in sources)
+    unused = []
+    for name in sl2tilings.__all__:
+        definition = rf"\b(?:def|class)\s+{name}\b|^{name}\s*[:=]"
+        if not re.search(rf"\b{name}\b", re.sub(definition, "", text, flags=re.MULTILINE)):
+            unused.append(name)
+        obj = getattr(sl2tilings, name)
+        if isinstance(obj, type):
+            unused += [
+                f"{name}.{attr}"
+                for attr, member in vars(obj).items()
+                if not attr.startswith("_")
+                and isinstance(member, (FunctionType, staticmethod, classmethod, property))
+                and not re.search(rf"\.{attr}\b", text)
+            ]
     assert unused == []

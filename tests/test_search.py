@@ -1,5 +1,4 @@
 import concurrent.futures
-import pickle
 from math import gcd
 
 import pytest
@@ -371,8 +370,7 @@ class TestUnitQuotient:
     )
     def test_matches_plain_traversal(self, monkeypatch, modulus, rows, cols, prune):
         monkeypatch.setattr(sl2tilings.search, "_leaf_is_wild", lambda b, n, centers: True)
-        cells = [x for x in range(modulus) if not prune or gcd(x, modulus) != 1]
-        plain = sl2tilings.search._dfs((modulus, rows, cols, cells, cells, None))
+        plain = sl2tilings.search._dfs((modulus, rows, cols, prune, slice(None), None))
         quotient = search_fully_wild(SearchConfig(modulus, rows, cols, prune_nonunits=prune))
         assert (quotient.solutions, quotient.stats.nodes, quotient.stats.budget_exhausted) == plain
         assert quotient.solutions or prune
@@ -380,7 +378,7 @@ class TestUnitQuotient:
     def test_first_cell_counts_4x4_mod5(self):
         # The subtree under x has the size of the one under u*x: 0 alone, and
         # 1..4 as one orbit.
-        counts = [sl2tilings.search._dfs((5, 4, 4, (x,), range(5), None))[1] for x in range(5)]
+        counts = [sl2tilings.search._dfs((5, 4, 4, False, slice(x, x + 1), None))[1] for x in range(5)]
         assert counts == [28_153] + [41_508] * 4
         assert search_fully_wild(SearchConfig(5, 4, 4)).stats.nodes == sum(counts) == 194_185
 
@@ -397,13 +395,12 @@ class TestUnitQuotient:
         assert len(images) == 12
         assert all(block_is_sl2(b, 36) and block_is_fully_wild(b, 36) for b in images)
 
-    def test_nonunits_reiterate_slice_and_pickle(self):
-        nonunits = sl2tilings.search._Nonunits(36)
-        want = [x for x in range(36) if gcd(x, 36) != 1]
-        assert list(nonunits) == list(nonunits) == want
-        for k in range(3):
-            part = pickle.loads(pickle.dumps(nonunits[k::3]))
-            assert list(part) == want[k::3]
+    def test_candidates_are_the_nonunits(self):
+        # The traversal above runs the DFS's own candidates, so this pins
+        # them against a gcd filter written out here.
+        for n in range(2, 61):
+            assert list(sl2tilings.search._candidates(n, True)) == [x for x in range(n) if gcd(x, n) != 1]
+            assert list(sl2tilings.search._candidates(n, False)) == list(range(n))
 
 
 class TestOracle:

@@ -202,9 +202,9 @@ class TestModels:
 
     def test_patched_entries(self, wildest_formal):
         # on the sublattice entries are the numbered formal parameters
-        assert wildest_formal.entry(0, 6).single_variable() == 1
-        assert wildest_formal.entry(1, 3).single_variable() == 2
-        assert wildest_formal.entry(11, 3).single_variable() == 14
+        assert wildest_formal.entry(0, 6).payload.single_variable() == 1
+        assert wildest_formal.entry(1, 3).payload.single_variable() == 2
+        assert wildest_formal.entry(11, 3).payload.single_variable() == 14
         # off the sublattice the rule background shows through
         assert wildest_formal.entry(0, 0).is_zero()
         assert wildest_formal.entry(0, 1).is_one()
@@ -329,7 +329,7 @@ class TestExtractWindow:
                    for j in range(j0, j0 + 100) if lat.contains(i, j)}
             assert not calls
             assert sorted(shells) == sorted(met) and len(met) > 1
-            assert win.at(0, (6 - 3 * i0 - j0) % 10).single_variable() is not None
+            assert win.at(0, (6 - 3 * i0 - j0) % 10).payload.single_variable() is not None
 
 
 class TestVerify:
@@ -510,7 +510,7 @@ class TestWildnessReport:
                 if t.lattice.contains(i, j) or v.constant_value() is None:
                     return CellColor.PARAMETER
                 return {one: CellColor.PLUS_ONE, -one: CellColor.MINUS_ONE,
-                        t.ring.zero(): CellColor.ZERO_TAME}.get(v, CellColor.OTHER_NONZERO)
+                        t.ring.value(0): CellColor.ZERO_TAME}.get(v, CellColor.OTHER_NONZERO)
 
             colors = tuple(tuple(color(i, j) for j in range(j0, j0 + w)) for i in range(i0, i0 + h))
             d2 = {(i, j): e(i, j) * e(i + 1, j + 1) - e(i, j + 1) * e(i + 1, j)
@@ -792,8 +792,8 @@ def first_violation(win):
 def cell_colors(win):
     """window_colors, cell by cell from _value_color and centered_det3."""
     grid = SimpleNamespace(entry=win.at)
-    return [[tiling._value_color(win.at(r, c), 0 < r < win.rows - 1 and 0 < c < win.cols - 1
-                                 and not centered_det3(grid, r, c).is_zero(), False)
+    return [[CellColor.ZERO_WILD if 0 < r < win.rows - 1 and 0 < c < win.cols - 1
+             and not centered_det3(grid, r, c).is_zero() else tiling._value_color(win.at(r, c))
              for c in range(win.cols)] for r in range(win.rows)]
 
 
@@ -802,7 +802,7 @@ class TestAuditWindow:
         seen = set()
         for t in [*catalog.values(), wildest_formal]:
             clean = extract_window(t, -2, 3, 5, 6)
-            one, zero = t.ring.one(), t.ring.zero()
+            one, zero = t.ring.one(), t.ring.value(0)
             names = ("dodgson", "corner") if isinstance(t.ring, ModularRing) else ("dodgson", "corner", "cross")
             for r, c in itertools.product(range(5), range(6)):
                 for bumped in (clean.at(r, c) + one, zero):

@@ -32,7 +32,6 @@ from sl2tilings import (
     Violation,
     WildnessReport,
     Window,
-    search,
     unit_tiling,
     wildness_report,
 )
@@ -69,7 +68,6 @@ VALUES = [
     (SearchResult((((1, 2), (3, 4)),), SearchStats(7, 1, False)), ("solutions", "stats"),
      "SearchResult(solutions=(((1, 2), (3, 4)),), "
      "stats=SearchStats(nodes=7, solutions=1, budget_exhausted=False))"),
-    (search._Nonunits(12, 1, 2), ("modulus", "start", "step"), "_Nonunits(modulus=12, start=1, step=2)"),
     (SublatticeSpec(13, -1, 10, 26), ("u", "v", "m", "t"), "SublatticeSpec(u=3, v=9, m=10, t=6)"),
     (FormalParameters(), (), "FormalParameters()"),
     (NumericParameters.from_mapping({(-1, 3): 5}, 2), ("values", "default"),
@@ -139,14 +137,12 @@ def test_keyword_construction():
     assert RenderOptions(cell_size=10, labels=True) == RenderOptions(10, True)
     assert SearchConfig(4, 3, 2, True, 100, 2) == SearchConfig(
         modulus=4, rows=3, cols=2, prune_nonunits=True, node_budget=100, worker_count=2)
-    assert search._Nonunits(6) == search._Nonunits(6, 0, 1)
 
 
 def test_pickle_round_trips():
     numeric = Patched(Z, UNIT_RULE, WILDEST, NumericParameters.from_mapping({(0, 6): 5}, 2))
     for value in (
         SearchConfig(36, node_budget=200, worker_count=2),
-        search._Nonunits(12, 1, 2),
         WINDOW,
         numeric,
         Patched(POLYNOMIALS, RuleBased(POLYNOMIALS, tuple(map(POLYNOMIALS.value, (0, 1, 0, -1)))),
@@ -159,7 +155,6 @@ def test_pickle_round_trips():
         assert repr(copy) == repr(value)
     copy = pickle.loads(pickle.dumps(numeric))
     assert (copy.entry(0, 6), copy.entry(1, 3)) == (Z.value(5), Z.value(2))
-    assert list(pickle.loads(pickle.dumps(search._Nonunits(12, 1, 2)))) == [2, 4, 8, 10]
 
 
 REFUSALS = [
