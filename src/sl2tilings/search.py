@@ -16,31 +16,30 @@ corner formula ``corner_det3``, valid as its every wrapped det2 is 1.
 Solutions are canonicalized by torus translation and reported in
 lexicographic order.
 
-Without a node budget the search is quotiented by unit scaling.  For a unit
-u mod N, multiplying the even columns of a block by u and the odd ones by
-u^-1 keeps every wrapped det2 when the width is even, and multiplies every
-det3 by u or u^-1, so it keeps both constraints.  For an odd width and even
-height the rows are scaled instead; when both sides are odd only the units
-with u^2 = 1 work, and they scale every cell.  The scaling sends the first
-cell x to u*x and maps every candidate set onto the scaled one (all
-residues, the non-units, the solutions of a congruence), so the subtree
-under u*x is the scaled subtree under x, node for node.  The DFS therefore
-runs once per orbit of first-cell values, from its least member; its node
-count is multiplied by the orbit's size, so ``nodes`` still counts the whole
-tree, and its solutions are mapped through one scaling to each other value
-of the orbit and canonicalized again.  Under all units, x and y share an
-orbit exactly when gcd(x, N) = gcd(y, N).  Workers take the orbits one at a
-time.  A budget cuts the traversal in candidate order, which scaling does
-not keep, so a budgeted search runs the plain traversal, worker k taking
-every workers-th first-cell value from the k-th with its share of the
-budget; its cost is the budget times the widest gap between candidates.
-Under pruning, a modulus over 2^20 + 1 with no prime factor up to 2^20 has
-a gap over 2^20 residues, so its budgeted search is refused.  Each DFS part
-is plain data, (modulus, rows, cols, prune, first, budget), ``first`` being
-a slice of the candidate order: one index for an orbit, every workers-th
-for a worker.  Candidate values are never listed, and each DFS keeps at
-most 2^16 congruence ranges, so a budgeted search at any modulus needs no
-more memory than its block and that cache.
+Without a node budget the search is quotiented by scaling.  Row i times r_i
+and column j times c_j multiplies the wrapped 2x2 window at (i, j) by
+r_i*r_(i+1)*c_j*c_(j+1) and every det3 by a unit, so units that make that
+product 1 keep both constraints.  With both sides even, row 0's even and odd
+columns take any two units alpha and beta (odd rows times (alpha*beta)^-1);
+an even width alone scales the columns by u and u^-1, an even height alone
+the rows, and odd sides every cell by a u with u^2 = 1.  A scaling maps
+every candidate set onto the scaled one (all residues, the non-units, the
+solutions of a congruence), so the subtree under a scaled row 0 is the
+scaled subtree, node for node.  The DFS fills rows 1 on under the least
+row 0 of each orbit, from ``_row_orbits``.  ``nodes`` still counts the whole
+tree: the |D|^k row-0 prefixes of each length k, D the candidates, plus each
+subtree's count times its orbit's size; solutions are mapped through one
+scaling onto each member of the orbit and canonicalized again.  A budget
+cuts the traversal in candidate order, which scaling does not keep, so a
+budgeted search runs the plain traversal, worker k taking every workers-th
+first-cell value from the k-th with its share of the budget; its cost is the
+budget times the widest gap between candidates.  Under pruning, a modulus
+over 2^20 + 1 with no prime factor up to 2^20 has a gap over 2^20 residues,
+so its budgeted search is refused.  Each DFS part is plain data, (modulus,
+rows, cols, prune, first, budget), ``first`` a slice of the row-0 orbits or
+of the first cell's candidates.  Candidate values are never listed, and each
+DFS keeps at most 2^16 congruence ranges, so a budgeted search at any
+modulus needs no more memory than its block and that cache.
 
 The exhaustive oracle for cross-checking shares only ``canonical_block``
 with the DFS: it keeps the pairs of rows whose wrapped 2x2 windows all have
@@ -53,7 +52,7 @@ from __future__ import annotations
 
 import os
 from itertools import compress, islice, product, repeat
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from .errors import UnsupportedOperationError, ValidationError, _Frozen
 from .matrices import corner_det3, det2, det2_scan, det3_scan, solve_linear_congruence
@@ -142,13 +141,62 @@ def _candidates(n: int, prune: bool):
     return compress(cells, map((1).__lt__, map(gcd, cells, repeat(n))))
 
 
-def _scaled(block: Block, u: int, n: int, by_rows: bool) -> Block:
-    """The block with its even columns (rows when ``by_rows``) times u and its
-    odd ones times u^-1, mod n."""
-    v = pow(u, -1, n)
-    if by_rows:
-        return tuple(tuple(x * (v if i % 2 else u) % n for x in row) for i, row in enumerate(block))
-    return tuple(tuple(x * (v if j % 2 else u) % n for j, x in enumerate(row)) for row in block)
+def _scaled(block: Block, alpha: int, beta: int, n: int) -> Block:
+    """The block with cell (i, j) times alpha or beta on even rows and beta^-1
+    or alpha^-1 on odd ones, by the parity of j, mod n."""
+    factors = ((alpha, beta), (pow(beta, -1, n), pow(alpha, -1, n)))
+    return tuple(tuple(x * factors[i % 2][j % 2] % n for j, x in enumerate(row)) for i, row in enumerate(block))
+
+
+def _row_orbits(n: int, h: int, w: int, prune: bool):
+    """Stream the least row 0 of each orbit under scaling, with the orbit's
+    size and a lazy iterator of (alpha, beta), one scaling onto each member.
+    Each cell is the least of its orbit under the units that fix the earlier
+    cells scaled with it: those of its parity if both sides are even."""
+    if n == 2:  # 1 is the only unit: each row 0 is an orbit of its own
+        yield from ((row, 1, [(1, 1)]) for row in product(_candidates(n, prune), repeat=w))
+        return
+    parts = 2 if h % 2 == 0 and w % 2 == 0 else 1
+    # Listed on first use: a row of zeros is fixed by every unit and needs no list.
+    group: list[int] = []
+
+    def listed(stab):
+        if stab is None and not group:
+            group.extend(u for u in range(1, n) if (u * u % n if h % 2 and w % 2 else gcd(u, n)) == 1)
+        return group if stab is None else stab
+
+    def reps(stab):
+        return (x for x in _candidates(n, prune) if not x or all(x <= u * x % n for u in listed(stab)))
+
+    def fixing(stab, x):
+        kept = [u for u in listed(stab) if u * x % n == x] if x else []
+        return kept if 0 < len(kept) < len(listed(stab)) else stab
+
+    def scalings(row, finals):
+        cosets = [[1] if s is None else {tuple(u * x % n for x in row[p::parts]): u for u in group}.values()
+                  for p, s in enumerate(finals)]
+        for us in product(*cosets):
+            yield (us[0], us[-1] if parts == 2 or w % 2 else pow(us[0], -1, n))
+
+    row = [0] * w
+    # stabs[j]: the units fixing the earlier cells of j's part, None for all of them.
+    stabs = [None] * (w + parts)
+    stack = [reps(None)]
+    j = 0
+    while stack:
+        for x in stack[-1]:
+            row[j] = x
+            stabs[j + parts] = fixing(stabs[j], x)
+            if j < w - 1:
+                j += 1
+                stack.append(reps(stabs[j]))
+                break
+            finals = stabs[w:]
+            size = prod(1 if s is None else len(group) // len(s) for s in finals)
+            yield tuple(row), size, scalings(tuple(row), finals)
+        else:
+            stack.pop()
+            j -= 1
 
 
 def _leaf_is_wild(b: list[list[int]], n: int, centers) -> bool:
@@ -166,17 +214,19 @@ def _leaf_is_wild(b: list[list[int]], n: int, centers) -> bool:
 def _dfs(part) -> tuple[tuple[Block, ...], int, bool]:
     """Fill the block row-major from an explicit stack of candidate iterators.
 
-    The part is plain data, (modulus, rows, cols, prune, first, budget): the
-    first cell takes the ``first`` slice of the candidate order, every other
-    free cell all candidates, the non-units alone when ``prune``.  The top
-    iterator yields the candidates of the cell at (i, j).  The budget
-    is checked before each candidate, which then counts as a node and is
-    kept only if the wrapped windows it closes have determinant 1.  A kept
+    The part is plain data, (modulus, rows, cols, prune, first, budget).  With
+    a budget the first cell takes the ``first`` slice of the candidate order;
+    without one the fill starts at (1, 0) under each row 0 of the ``first``
+    slice of ``_row_orbits``, counted and mapped over its orbit.  Other free
+    cells take all candidates, the non-units alone when ``prune``.  The
+    budget is checked before each candidate, which then counts as a node and
+    is kept only if the wrapped windows it closes have determinant 1.  A kept
     candidate on the last cell completes a block; elsewhere it pushes the
-    candidates of the next cell.  An exhausted iterator is popped to resume
-    the cell before it.  Interior candidates come from a cache of ranges
-    keyed by their congruence nw*x = c.  Returns the sorted canonical
-    solutions, the node count and whether the budget ran out.
+    candidates of the next cell unless they are an empty range, solved from
+    one cache keyed by the congruence nw*x = c.  An exhausted iterator is
+    popped to resume the cell before it.  Returns the sorted canonical
+    solutions, the node count (below row 0 if unbudgeted) and whether the
+    budget ran out.
     """
     n, h, w, prune, first, budget = part
     east, south = w - 1, h - 1
@@ -185,51 +235,64 @@ def _dfs(part) -> tuple[tuple[Block, ...], int, bool]:
     b = [[0] * w for _ in range(h)]
     top = b[0]
     solutions: set[Block] = set()
-    nodes = 0
-    i = j = 0
-    stack = [islice(_candidates(n, prune), first.start, first.stop, first.step)]
-    while stack:
-        row = b[i]
-        for x in stack[-1]:
-            if nodes == budget:
-                return tuple(sorted(solutions)), nodes, True
-            nodes += 1
-            row[j] = x
-            # The windows that wrap east (rows i-1, i), south (rows h-1, 0)
-            # and at the corner close on this cell.
-            if j == east and i and (b[i - 1][east] * row[0] - b[i - 1][0] * x) % n != 1:
-                continue
-            if i == south and j:
-                if (row[j - 1] * top[j] - x * top[j - 1]) % n != 1:
+    total = 0
+    if budget is None:
+        roots = islice(_row_orbits(n, h, w, prune), first.start, first.stop, first.step)
+        start, first = 1, slice(None)
+    else:
+        roots, start = [(top, 1, [(1, 1)])], 0
+    for row0, size, scalings in roots:
+        top[:] = row0
+        i, j, nodes, leaves = start, 0, 0, []
+        stack = [islice(_candidates(n, prune), first.start, first.stop, first.step)]
+        while stack:
+            row = b[i]
+            for x in stack[-1]:
+                if nodes == budget:
+                    return tuple(sorted({*map(canonical_block, leaves)})), nodes, True
+                nodes += 1
+                row[j] = x
+                # The windows that wrap east (rows i-1, i), south (rows h-1, 0)
+                # and at the corner close on this cell.
+                if j == east and i and (b[i - 1][east] * row[0] - b[i - 1][0] * x) % n != 1:
                     continue
-                if j == east and (x * top[0] - row[0] * top[east]) % n != 1:
-                    continue
-            if j < east:
-                j += 1
-            elif i < south:
-                i, j = i + 1, 0
+                if i == south and j:
+                    if (row[j - 1] * top[j] - x * top[j - 1]) % n != 1:
+                        continue
+                    if j == east and (x * top[0] - row[0] * top[east]) % n != 1:
+                        continue
+                if j == east:
+                    if i == south:
+                        if _leaf_is_wild(b, n, centers):
+                            leaves.append(tuple(map(tuple, b)))
+                        continue
+                    i, j = i + 1, 0
+                    stack.append(_candidates(n, prune))
+                elif i:
+                    key = b[i - 1][j], (1 + b[i - 1][j + 1] * x) % n
+                    candidates = ranges.get(key)
+                    if candidates is None:
+                        candidates = solve_linear_congruence(*key, n)
+                        if len(ranges) < _MAX_RANGES:
+                            ranges[key] = candidates
+                    if not candidates:
+                        continue
+                    j += 1
+                    stack.append(iter(candidates))
+                else:
+                    j += 1
+                    stack.append(_candidates(n, prune))
+                break
             else:
-                if _leaf_is_wild(b, n, centers):
-                    solutions.add(canonical_block(tuple(map(tuple, b))))
-                continue
-            if i and j:
-                key = b[i - 1][j - 1], (1 + b[i - 1][j] * b[i][j - 1]) % n
-                candidates = ranges.get(key)
-                if candidates is None:
-                    candidates = solve_linear_congruence(*key, n)
-                    if len(ranges) < _MAX_RANGES:
-                        ranges[key] = candidates
-                stack.append(iter(candidates))
-            else:
-                stack.append(_candidates(n, prune))
-            break
-        else:
-            stack.pop()
-            if j:
-                j -= 1
-            else:
-                i, j = i - 1, east
-    return tuple(sorted(solutions)), nodes, False
+                stack.pop()
+                if j:
+                    j -= 1
+                else:
+                    i, j = i - 1, east
+        total += nodes * size
+        if leaves:
+            solutions.update(canonical_block(_scaled(leaf, *pair, n)) for pair in scalings for leaf in leaves)
+    return tuple(sorted(solutions)), total, False
 
 
 def _run(parts: list, workers: int) -> list:
@@ -244,47 +307,26 @@ def _run(parts: list, workers: int) -> list:
         return list(pool.map(_dfs, parts))
 
 
-def _orbit_dfs(config: SearchConfig) -> list:
-    """``_dfs`` outcomes of every first-cell candidate: one run per unit
-    orbit, from its least member, expanded to the whole orbit."""
-    n, h, w, prune = config.modulus, config.rows, config.cols, config.prune_nonunits
-    # A lower bound on the steps: n - 1 residues walked, and from any first
-    # cell every filling of the rest of row 0 and of cell (1, 0), never
-    # pruned: |D|^w nodes, |D| taken as 1 under pruning so that n is never
-    # factored.  Powers past 2^64, over the bound already, are not built.
-    d = 1 if prune else n
-    if max(n - 1, d ** min(w, 64)) > _MAX_STEPS:
-        raise UnsupportedOperationError(
-            f"an unbudgeted search walks {n - 1} residues and at least {d}^{w} DFS nodes, "
-            f"over the bound of {_MAX_STEPS} steps; pass --budget to cap the nodes"
-        )
-    indexed = enumerate(_candidates(n, prune))
-    if h % 2 and w % 2:
-        # Every cell times u, which keeps det2 only when u^2 = 1.
-        units = [u for u in range(1, n) if u * u % n == 1]
-        reps = [(k, x) for k, x in indexed if x == min(u * x % n for u in units)]
-    else:
-        # Under all units, x and y share an orbit iff gcd(x, n) = gcd(y, n);
-        # its least member is that gcd, or 0 when it is n.
-        units = [u for u in range(1, n) if gcd(u, n) == 1]
-        reps = [(k, x) for k, x in indexed if gcd(x, n) in (x, n)]
-    parts = [(n, h, w, prune, slice(k, k + 1), None) for k, _ in reps]
-    by_rows = w % 2 == 1
-    outcomes = []
-    for (_, x), (sols, nodes, _) in zip(reps, _run(parts, min(config.worker_count, len(parts)))):
-        # One scaling to each other value u*x of the orbit; the subtree under
-        # it is the scaled subtree under x.
-        scalings = {u * x % n: u for u in units}
-        del scalings[x]
-        found = {canonical_block(_scaled(block, u, n, by_rows)) for block in sols for u in scalings.values()}
-        outcomes.append((found.union(sols), nodes * (1 + len(scalings)), False))
-    return outcomes
-
-
 def search_fully_wild(config: SearchConfig) -> SearchResult:
-    n, prune, budget = config.modulus, config.prune_nonunits, config.node_budget
+    n, h, w, prune, budget = config.modulus, config.rows, config.cols, config.prune_nonunits, config.node_budget
     if budget is None:
-        outcomes = _orbit_dfs(config)
+        # A lower bound on the steps: n - 1 residues walked, and from any first
+        # cell every filling of the rest of row 0 and of cell (1, 0), never
+        # pruned: |D|^w nodes, |D| taken as 1 under pruning so that n is never
+        # factored.  Powers past 2^64, over the bound already, are not built.
+        d = 1 if prune else n
+        if max(n - 1, d ** min(w, 64)) > _MAX_STEPS:
+            raise UnsupportedOperationError(
+                f"an unbudgeted search walks {n - 1} residues and at least {d}^{w} DFS nodes, "
+                f"over the bound of {_MAX_STEPS} steps; pass --budget to cap the nodes"
+            )
+        # One part per process, or per row 0 when there are fewer.
+        cap = min(config.worker_count, os.cpu_count() or 1)
+        workers = sum(1 for _ in islice(_row_orbits(n, h, w, prune), cap))
+        parts = [(n, h, w, prune, slice(k, None, workers), None) for k in range(workers)]
+        # Row 0 has no window to check: its |D|^k prefixes of each length k are nodes.
+        d = sum(1 for _ in _candidates(n, prune))
+        nodes = sum(d**k for k in range(1, w + 1))
     else:
         # More workers than first-cell values or budgeted nodes would get no
         # work; counting the values only up to that cap keeps it lazy.
@@ -304,15 +346,13 @@ def search_fully_wild(config: SearchConfig) -> SearchResult:
         workers = sum(1 for _ in islice(_candidates(n, prune), cap))
         # Worker k gets budget // workers nodes, one more while k < budget % workers.
         parts = [
-            (n, config.rows, config.cols, prune, slice(k, None, workers),
-             budget // workers + (k < budget % workers))
+            (n, h, w, prune, slice(k, None, workers), budget // workers + (k < budget % workers))
             for k in range(workers)
         ]
-        outcomes = _run(parts, workers)
+        nodes = 0
     merged: set[Block] = set()
-    nodes = 0
     exhausted = False
-    for sols, count, ex in outcomes:
+    for sols, count, ex in _run(parts, workers):
         merged.update(sols)
         nodes += count
         exhausted = exhausted or ex

@@ -1,4 +1,6 @@
 import concurrent.futures
+import time
+from itertools import product
 from math import gcd
 
 import pytest
@@ -219,12 +221,15 @@ class TestSearch:
         # search imports the pool class when it needs more than one worker.
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         solo = search_fully_wild(SearchConfig(5, 2, 2))
-        # Without a budget there is one task per unit orbit of first cells:
-        # {0} and {1, 2, 3, 4} mod 5, so at most two workers.
-        for cpus, pool_size in ((64, 2), (2, 2), (None, 1)):
+        # Without a budget the parts take the row-0 orbit representatives in
+        # turn.  2x2 mod 5 has four, each cell 0 or 1 (its orbit under the
+        # units is {0} or {1, 2, 3, 4}), so there are min(J, cpus, 4) parts,
+        # and a single part runs in this process with no pool.
+        for cpus, pool_size in ((64, 4), (2, 2), (None, 1)):
             monkeypatch.setattr(sl2tilings.search.os, "cpu_count", lambda: cpus)
+            sizes.clear()
             multi = search_fully_wild(SearchConfig(5, 2, 2, worker_count=10_000))
-            assert sizes[-1] == pool_size
+            assert sizes == ([pool_size] if pool_size > 1 else [])
             assert multi.solutions == solo.solutions
             assert multi.stats.nodes == solo.stats.nodes
         # Per-worker budgets are those of one worker per first-cell value.
@@ -249,10 +254,13 @@ class TestSearch:
         # max(N - 1 residues, |D|^w nodes), |D| = N or 1 under pruning, may
         # reach 2^20 and no more: 1024^2 and 2^20 residues pass, one more of
         # either is refused, and so is 4x4 mod 36 (36^4 nodes).  The DFS runs
-        # are stubbed, so only the orbit walk is paid for.
+        # below row 0 are stubbed, so only row 0's count, |D| + |D|^2 for two
+        # columns, is paid for.  The non-units mod 2^20 + 1 = 17 * 61681 are
+        # the multiples of 17 and those of 61681, 0 among both.
         monkeypatch.setattr(sl2tilings.search, "_run", lambda parts, workers: [((), 0, False)] * len(parts))
-        for config in (SearchConfig(1024, 3, 2), SearchConfig(2**20 + 1, 2, 2, prune_nonunits=True)):
-            assert search_fully_wild(config).stats.nodes == 0
+        for config, d in ((SearchConfig(1024, 3, 2), 1024),
+                          (SearchConfig(2**20 + 1, 2, 2, prune_nonunits=True), 61681 + 17 - 1)):
+            assert search_fully_wild(config).stats.nodes == d + d * d
         for config in (SearchConfig(1025, 3, 2), SearchConfig(2**20 + 2, 2, 2, prune_nonunits=True),
                        SearchConfig(36, 4, 4)):
             with pytest.raises(UnsupportedOperationError, match="over the bound of 1048576 steps; pass --budget"):
@@ -273,6 +281,13 @@ class TestTraversal:
             (SearchConfig(2, 5, 6), 21_054, False),
             (SearchConfig(36, 4, 4, node_budget=20_000), 20_000, True),
             (SearchConfig(5, 4, 4, node_budget=1_000, worker_count=2), 1_000, True),
+            (SearchConfig(5, 4, 4), 194_185, False),
+            (SearchConfig(7, 4, 4), 1_377_551, False),
+            (SearchConfig(8, 3, 4), 264_776, False),
+            (SearchConfig(5, 3, 3), 3_380, False),
+            (SearchConfig(12, 3, 4, prune_nonunits=True), 65_992, False),
+            (SearchConfig(10, 4, 4, prune_nonunits=True), 72_130, False),
+            (SearchConfig(6, 4, 4, prune_nonunits=True), 8_216, False),
         ],
     )
     def test_node_counts(self, config, nodes, exhausted):
@@ -307,18 +322,26 @@ class TestTraversal:
 
 
 def _scalings(block, modulus):
-    """Every unit scaling of the block, straight from its definition: for even
-    width, column j times u^((-1)^j); for odd width and even height, row i
-    likewise; for odd sides, every cell times a u with u^2 = 1."""
+    """Every unit scaling of the block, straight from its definition.  Row i
+    times r_i and column j times c_j multiplies the wrapped 2x2 window at
+    (i, j) by r_i * r_(i+1) * c_j * c_(j+1), which must be 1.  Both sides
+    even: rows alternately times 1 and rho, columns alternately times a and
+    b, with rho * a * b = 1, for every pair of units a, b.  Even width and
+    odd height: column j times u^((-1)^j); odd width and even height: row i
+    likewise; both odd: every cell times a u with u^2 = 1."""
     h, w = len(block), len(block[0])
-    for u in range(1, modulus):
-        if gcd(u, modulus) != 1 or (h % 2 and w % 2 and u * u % modulus != 1):
-            continue
-        v = pow(u, -1, modulus)
-        yield tuple(
-            tuple(block[i][j] * (u if (j if w % 2 == 0 else i) % 2 == 0 else v) % modulus for j in range(w))
-            for i in range(h)
-        )
+    units = [u for u in range(1, modulus) if gcd(u, modulus) == 1]
+    if h % 2 == 0 and w % 2 == 0:
+        factors = [([1, pow(a * b, -1, modulus)], [a, b]) for a in units for b in units]
+    else:
+        factors = []
+        for u in units:
+            if h % 2 and w % 2 and u * u % modulus != 1:
+                continue
+            v = pow(u, -1, modulus)
+            factors.append(([1, 1], [u, v]) if w % 2 == 0 else ([u, v], [1, 1]) if h % 2 == 0 else ([u, u], [1, 1]))
+    for r, c in factors:
+        yield tuple(tuple(block[i][j] * r[i % 2] * c[j % 2] % modulus for j in range(w)) for i in range(h))
 
 
 class TestRangeCache:
@@ -360,8 +383,9 @@ class TestUnitQuotient:
     # (modulus, rows, cols): even x even, odd x even, even x odd and odd x odd
     # shapes whose SL2 classes are non-empty, so the comparisons with the wild
     # filter off see real solutions; mod 3 and 5 have a unit orbit of size 2
-    # and 4, mod 8 and 10 have several units with u^2 = 1.
-    SHAPES = [(3, 4, 4), (5, 3, 4), (5, 4, 3), (8, 3, 3), (10, 3, 3)]
+    # and 4, mod 8 and 10 have several units with u^2 = 1.  4x4 mod 5 is the
+    # first even x even shape with more than two units: 1,136 SL2 classes.
+    SHAPES = [(3, 4, 4), (5, 3, 4), (5, 4, 3), (8, 3, 3), (10, 3, 3), (5, 4, 4)]
 
     @pytest.mark.parametrize(
         "modulus, rows, cols, prune",
@@ -370,15 +394,22 @@ class TestUnitQuotient:
     )
     def test_matches_plain_traversal(self, monkeypatch, modulus, rows, cols, prune):
         monkeypatch.setattr(sl2tilings.search, "_leaf_is_wild", lambda b, n, centers: True)
-        plain = sl2tilings.search._dfs((modulus, rows, cols, prune, slice(None), None))
+        # A budget runs the plain traversal; this one, over the 2 * N^(rows*cols)
+        # nodes any tree has, never runs out.
+        budget = 2 * modulus ** (rows * cols)
+        plain = search_fully_wild(SearchConfig(modulus, rows, cols, prune_nonunits=prune, node_budget=budget))
         quotient = search_fully_wild(SearchConfig(modulus, rows, cols, prune_nonunits=prune))
-        assert (quotient.solutions, quotient.stats.nodes, quotient.stats.budget_exhausted) == plain
+        assert (quotient.solutions, quotient.stats.nodes, quotient.stats.budget_exhausted) == (
+            plain.solutions, plain.stats.nodes, plain.stats.budget_exhausted)
         assert quotient.solutions or prune
+        if (modulus, rows, cols, prune) == (5, 4, 4, False):
+            assert len(quotient.solutions) == 1_136
 
     def test_first_cell_counts_4x4_mod5(self):
         # The subtree under x has the size of the one under u*x: 0 alone, and
-        # 1..4 as one orbit.
-        counts = [sl2tilings.search._dfs((5, 4, 4, False, slice(x, x + 1), None))[1] for x in range(5)]
+        # 1..4 as one orbit.  A budget the tree never reaches runs the plain
+        # traversal from each first cell.
+        counts = [sl2tilings.search._dfs((5, 4, 4, False, slice(x, x + 1), 10**6))[1] for x in range(5)]
         assert counts == [28_153] + [41_508] * 4
         assert search_fully_wild(SearchConfig(5, 4, 4)).stats.nodes == sum(counts) == 194_185
 
@@ -390,9 +421,33 @@ class TestUnitQuotient:
             for scaled in _scalings(block, modulus):
                 assert canonical_block(scaled) in solutions
 
+    def test_row_orbits_are_the_orbits_of_row_0(self):
+        # Orbits of row 0 under the scalings above, each block read by its
+        # row 0 alone: the stream gives the least member of each orbit once,
+        # with the orbit's size, and its scalings reach every member once.
+        for modulus, rows, cols in [*self.SHAPES, (12, 2, 2), (9, 3, 2)]:
+            orbits = {}
+            for row in product(range(modulus), repeat=cols):
+                block = (row, *[(0,) * cols] * (rows - 1))
+                orbits[row] = frozenset(image[0] for image in _scalings(block, modulus))
+            streamed = list(sl2tilings.search._row_orbits(modulus, rows, cols, False))
+            assert [row for row, _, _ in streamed] == sorted({min(orbit) for orbit in orbits.values()})
+            for row, size, scalings in streamed:
+                block = (row, *[(0,) * cols] * (rows - 1))
+                images = [sl2tilings.search._scaled(block, a, b, modulus)[0] for a, b in scalings]
+                assert size == len(images) == len(set(images)) and set(images) == orbits[row]
+
+    def test_pruned_prime_modulus_lists_no_units(self):
+        # Under pruning a prime modulus leaves row 0 all zeros, which every
+        # scaling fixes: no unit is listed, and 10^6 residues take about 1 s.
+        start = time.perf_counter()
+        result = search_fully_wild(SearchConfig(1_000_003, 2, 2, prune_nonunits=True))
+        assert time.perf_counter() - start < 2
+        assert (result.solutions, result.stats.nodes) == ((), 3)
+
     def test_scalings_keep_the_z36_block_fully_wild(self):
         images = list(_scalings(Z36_BLOCK, 36))
-        assert len(images) == 12
+        assert len(images) == 12 * 12
         assert all(block_is_sl2(b, 36) and block_is_fully_wild(b, 36) for b in images)
 
     def test_candidates_are_the_nonunits(self):
