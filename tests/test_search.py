@@ -425,7 +425,7 @@ class TestUnitQuotient:
         # Orbits of row 0 under the scalings above, each block read by its
         # row 0 alone: the stream gives the least member of each orbit once,
         # with the orbit's size, and its scalings reach every member once.
-        for modulus, rows, cols in [*self.SHAPES, (12, 2, 2), (9, 3, 2)]:
+        for modulus, rows, cols in [*self.SHAPES, (12, 2, 2), (9, 3, 2), (2, 3, 4)]:
             orbits = {}
             for row in product(range(modulus), repeat=cols):
                 block = (row, *[(0,) * cols] * (rows - 1))
@@ -437,9 +437,10 @@ class TestUnitQuotient:
                 images = [sl2tilings.search._scaled(block, a, b, modulus)[0] for a, b in scalings]
                 assert size == len(images) == len(set(images)) and set(images) == orbits[row]
 
-    def test_pruned_prime_modulus_lists_no_units(self):
+    def test_pruned_large_prime_modulus_is_fast(self):
         # Under pruning a prime modulus leaves row 0 all zeros, which every
-        # scaling fixes: no unit is listed, and 10^6 residues take about 1 s.
+        # scaling fixes, so the quotient needs no list of its 10^6 units: the
+        # few passes over the residues take about 1 s.
         start = time.perf_counter()
         result = search_fully_wild(SearchConfig(1_000_003, 2, 2, prune_nonunits=True))
         assert time.perf_counter() - start < 2
