@@ -153,9 +153,6 @@ def _row_orbits(n: int, h: int, w: int, prune: bool):
     size and a lazy iterator of (alpha, beta), one scaling onto each member.
     Each cell is the least of its orbit under the units that fix the earlier
     cells scaled with it: those of its parity if both sides are even."""
-    if n == 2:  # 1 is the only unit: each row 0 is an orbit of its own
-        yield from ((row, 1, [(1, 1)]) for row in product(_candidates(n, prune), repeat=w))
-        return
     parts = 2 if h % 2 == 0 and w % 2 == 0 else 1
     # Listed on first use: a row of zeros is fixed by every unit and needs no list.
     group: list[int] = []
@@ -310,10 +307,10 @@ def _run(parts: list, workers: int) -> list:
 def search_fully_wild(config: SearchConfig) -> SearchResult:
     n, h, w, prune, budget = config.modulus, config.rows, config.cols, config.prune_nonunits, config.node_budget
     if budget is None:
-        # A lower bound on the steps: n - 1 residues walked, and from any first
-        # cell every filling of the rest of row 0 and of cell (1, 0), never
-        # pruned: |D|^w nodes, |D| taken as 1 under pruning so that n is never
-        # factored.  Powers past 2^64, over the bound already, are not built.
+        # A closed-form cap: n - 1 residues scanned for the unit list, and the
+        # |D|^w full rows 0 that ``nodes`` counts, though the quotient walks
+        # fewer; |D| taken as 1 under pruning so that n is never factored.
+        # Powers past 2^64, over the bound already, are not built.
         d = 1 if prune else n
         if max(n - 1, d ** min(w, 64)) > _MAX_STEPS:
             raise UnsupportedOperationError(

@@ -425,7 +425,7 @@ class TestUnitQuotient:
         # Orbits of row 0 under the scalings above, each block read by its
         # row 0 alone: the stream gives the least member of each orbit once,
         # with the orbit's size, and its scalings reach every member once.
-        for modulus, rows, cols in [*self.SHAPES, (12, 2, 2), (9, 3, 2), (2, 3, 4)]:
+        for modulus, rows, cols in [*self.SHAPES, (12, 2, 2), (9, 3, 2), (2, 3, 4), (2, 4, 4)]:
             orbits = {}
             for row in product(range(modulus), repeat=cols):
                 block = (row, *[(0,) * cols] * (rows - 1))
