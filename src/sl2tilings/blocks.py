@@ -10,10 +10,12 @@ flip.  Parameters are never negated: they stand for arbitrary nonzero values.
 
 Canonical encodings serialize a block row-major with tokens 0 / + / - / pK,
 renaming parameters in first-occurrence order, and take the minimum over the
-64 transforms.  Renaming does not depend on signs, so each of the 8 dihedral
-images is serialized once, with every +-1 written as one of 8 marks for its
-sign and the parities of its row and column; each sign change is then one
-``str.translate`` table from marks to + and -.
+64 transforms.  A block is held as one string per row, one character per
+cell, with every +-1 one of 8 marks for its sign and the parities of its row
+and column in the model; each sign change is then one ``str.translate`` table
+from marks to + and -, and only the least of the 64 strings is serialized.
+Block classes slice the blocks of up to ``_STRIP`` origins of a row from the
+strings of one window.
 
 The same tokens give both ranks.  A block is a mixed matrix, whose rank over
 Q(a) is the size of a matroid union (``_symbolic_deficiency``); the probe
@@ -35,10 +37,14 @@ from .tiling import Patched, TilingModel, Window, _torus_basis, extract_window
 MAX_BLOCK_DIM = 48
 _PROBE_TRIALS = 5
 
+# Block origins per window that _corner_classes extracts and slices.
+_STRIP = 64
+
 _TOKENS = {0: "0", 1: "+", -1: "-"}
 _SIGNS = {"+": 1, "-": -1}
-# A +-1 entry serializes as the mark 4*[it is -1] + 2*(r % 2) + (c % 2); each
-# sign change (-1)^(alpha*r + beta*c + gamma) is a table from marks to signs.
+# A +-1 entry at row i and column j of the model is the mark
+# 4*[it is -1] + 2*(i % 2) + (j % 2); each sign change
+# (-1)^(alpha*i + beta*j + gamma) is a table from marks to signs.
 _MARKS = "ABCDEFGH"
 _SIGN_CHANGES = tuple(
     str.maketrans(_MARKS, "".join(
@@ -46,6 +52,9 @@ _SIGN_CHANGES = tuple(
         for neg in (0, 1) for r in (0, 1) for c in (0, 1)))
     for alpha in (0, 1) for beta in (0, 1) for gamma in (0, 1)
 )
+# Parameters that repeat are written from this code point on, above every
+# other cell character.
+_NAMED = 0x100
 
 
 def _cell_token(p: int | _Poly) -> int | str:
@@ -64,34 +73,54 @@ def _token_grid(win: Window) -> list[list[int | str]]:
     return [list(map(tokens.__getitem__, row)) for row in rows]
 
 
-def _images(grid: list[list[int | str]]):
-    """The 8 dihedral images: each of the 4 rotations and its transpose."""
+def _cell_rows(win: Window) -> list[str]:
+    """The window's rows as strings of cells: 0, the mark of each +-1 entry
+    by its sign and the parities of its row and column in the model, and P
+    for each parameter, as in every window of a formal model, unless some
+    parameter repeats: then each has a character of its own."""
+    grid = _token_grid(win)
+    params = [tok for row in grid for tok in row if isinstance(tok, int)]
+    named = len(set(params)) < len(params)
+    chars = {tok: chr(_NAMED + x) if named else "P" for x, tok in enumerate(set(params))} | {"0": "0"}
+    i0, j0 = win.origin
+    return ["".join(_MARKS[4 * (tok == "-") + 2 * (i % 2) + j % 2] if tok in _SIGNS else chars[tok]
+                    for j, tok in enumerate(row, j0)) for i, row in enumerate(grid, i0)]
+
+
+def _least_form(rows: list[str]) -> str:
+    """The least serialization of a square block of ``_cell_rows`` over its
+    64 transforms; only the winner is serialized.
+
+    The sign changes are closed under moving the block by a row or a column
+    and under the transpose, so marks by model parity give every dihedral
+    image the same 8 tables.  The separator sorts below every cell character
+    and + < - < 0 < P, so cell strings compare as their serializations do,
+    and the k-th P of every image is pk.  Repeated parameters are renamed in
+    each image by first occurrence, to characters that sort as their names
+    do (p1 < p10 < p2).
+    """
+    images = []
     for _ in range(4):
-        grid = list(zip(*grid[::-1]))
-        yield grid
-        yield list(zip(*grid))
-
-
-def _serialize(grid: list[list[int | str]]) -> str:
-    rename: dict[int, int] = {}
-    out = []
-    for r, row in enumerate(grid):
-        for c, tok in enumerate(row):
-            if isinstance(tok, int):
-                out.append(f"p{rename.setdefault(tok, len(rename) + 1)}")
-            elif tok == "0":
-                out.append(tok)
-            else:
-                out.append(_MARKS[4 * (tok == "-") + 2 * (r % 2) + c % 2])
-    return " ".join(out)
+        rows = ["".join(col) for col in zip(*rows[::-1])]
+        images += ["".join(rows), "".join(map("".join, zip(*rows)))]
+    named = set(images[0]).difference(_MARKS, "0P")
+    # spelled maps the characters, in name order, to the names; renamed[k - 1]
+    # is the character of pk.
+    spelled = dict(enumerate(sorted(f"p{k}" for k in range(1, len(named) + 1)), _NAMED))
+    renamed = sorted(spelled, key=lambda c: int(spelled[c][1:]))
+    if named:
+        images = [s.translate(dict(zip(map(ord, dict.fromkeys(c for c in s if c in named)), renamed)))
+                  for s in images]
+    best = min(s.translate(table) for s in images for table in _SIGN_CHANGES)
+    parts = " ".join(best).translate(spelled).split("P")
+    return "".join(f"{part}p{k}" for k, part in enumerate(parts[:-1], 1)) + parts[-1]
 
 
 def canonical_block_form(win: Window) -> str:
     """Minimal serialization of a square block over its symmetry group."""
     if win.rows != win.cols:
         raise StructuralError(f"block must be square, got {win.rows}x{win.cols}")
-    grid = _token_grid(win)
-    return min(s.translate(table) for s in map(_serialize, _images(grid)) for table in _SIGN_CHANGES)
+    return _least_form(_cell_rows(win))
 
 
 class BlockClass(_Frozen):
@@ -133,11 +162,13 @@ def _corner_classes(t: TilingModel, n: int) -> tuple[BlockClass, ...]:
     p, q, _ = _torus_basis(t)
     by_encoding: dict[str, tuple[Window, int]] = {}
     for i in range(p):
-        for j in range(q):
-            win = extract_window(t, i, j, n, n)
-            enc = canonical_block_form(win)
-            rep, count = by_encoding.get(enc, (win, 0))
-            by_encoding[enc] = (rep, count + 1)
+        for j0 in range(0, q, _STRIP):
+            width = min(_STRIP, q - j0)
+            strip = _cell_rows(extract_window(t, i, j0, n, n + width - 1))
+            for c in range(width):
+                enc = _least_form([row[c:c + n] for row in strip])
+                rep, count = by_encoding.get(enc) or (extract_window(t, i, j0 + c, n, n), 0)
+                by_encoding[enc] = (rep, count + 1)
     classes = [
         BlockClass(enc, rep, count) for enc, (rep, count) in by_encoding.items()
     ]

@@ -117,19 +117,14 @@ def block_is_fully_wild(block: Block, modulus: int) -> bool:
 
 
 def canonical_block(block: Block) -> Block:
-    """Minimum of the block over all torus translations."""
-    h = len(block)
+    """Minimum of the block over all torus translations.  The least rotated
+    row picks the translations whose first row it is, and only those are
+    built in full."""
     w = len(block[0])
-    best = None
-    for di in range(h):
-        for dj in range(w):
-            shifted = tuple(
-                tuple(block[(i + di) % h][(j + dj) % w] for j in range(w))
-                for i in range(h)
-            )
-            if best is None or shifted < best:
-                best = shifted
-    return best
+    firsts = {(di, dj): row[dj:] + row[:dj] for di, row in enumerate(block) for dj in range(w)}
+    least = min(firsts.values())
+    return min(tuple(row[dj:] + row[:dj] for row in block[di:] + block[:di])
+               for (di, dj), first in firsts.items() if first == least)
 
 
 def _candidates(n: int, prune: bool):

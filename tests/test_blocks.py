@@ -168,18 +168,38 @@ class TestCanonicalForm:
         win = poly_window(rows)
         assert canonical_block_form(win) == reference_form(win)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(4, 6).flatmap(lambda n: st.lists(
+        st.lists(st.sampled_from([0, 1, -1] + [f"a{k}" for k in range(1, 13)]), min_size=n, max_size=n),
+        min_size=n, max_size=n)))
+    def test_matches_reference_with_ten_or_more_parameters(self, rows):
+        # Names past p9 sort as strings do: p1 < p10 < p2.
+        win = poly_window(rows)
+        assert canonical_block_form(win) == reference_form(win)
+
     def test_matches_reference_on_corner_windows(self, wildest_formal):
         for n in range(1, 17):
-            for k in range(10):
-                win = extract_window(wildest_formal, 0, k, n, n)
-                assert canonical_block_form(win) == reference_form(win), (n, k)
+            for i0, j0 in [(0, k) for k in range(10)] + [(1, 1), (-3, 5), (7, -9)]:
+                win = extract_window(wildest_formal, i0, j0, n, n)
+                assert canonical_block_form(win) == reference_form(win), (n, i0, j0)
+        for lattice in TORUS_INDEX:
+            t = formal_patched(*lattice)
+            for n in range(1, 9):
+                for i0, j0 in [(0, 0), (1, 3), (-1, 2), (5, -7)]:
+                    win = extract_window(t, i0, j0, n, n)
+                    assert canonical_block_form(win) == reference_form(win), (lattice, n, i0, j0)
 
-    def test_one_serialization_per_dihedral_image(self, wildest_formal, monkeypatch):
+    def test_one_strip_per_chunk_and_one_window_per_class(self, monkeypatch):
+        # One extract_window per _STRIP origins of a row, and one more for
+        # each class's representative; no strip is wider than its blocks need.
+        t, n = formal_patched(1, 1, 2500, 0), 5
+        p, q, _ = blocks._torus_basis(t)
         calls = []
-        serialize = blocks._serialize
-        monkeypatch.setattr(blocks, "_serialize", lambda grid: calls.append(grid) or serialize(grid))
-        canonical_block_form(extract_window(wildest_formal, 0, 3, 5, 5))
-        assert len(calls) == 8
+        monkeypatch.setattr(blocks, "extract_window", lambda t, i, j, h, w: calls.append(w) or extract_window(t, i, j, h, w))
+        classes = enumerate_block_classes(t, n)
+        assert sum(c.orbit_size for c in classes) == p * q
+        assert len(calls) <= p * -(-q // blocks._STRIP) + len(classes)
+        assert max(calls) <= n + blocks._STRIP - 1
 
 
 class TestEnumeration:
@@ -201,14 +221,14 @@ class TestEnumeration:
         m = t.lattice.m
         for n in range(1, 4):
             classes = enumerate_block_classes(t, n)
-            every = {canonical_block_form(extract_window(t, i, j, n, n))
+            every = {reference_form(extract_window(t, i, j, n, n))
                      for i in range(-2 * m, 2 * m) for j in range(-2 * m, 2 * m)}
             assert {c.encoding for c in classes} == every, n
             assert sum(c.orbit_size for c in classes) == TORUS_INDEX[lattice]
 
     def test_representatives_match_encoding(self, wildest_formal):
         for c in enumerate_block_classes(wildest_formal, 4):
-            assert canonical_block_form(c.representative) == c.encoding
+            assert reference_form(c.representative) == c.encoding
 
     def test_deterministic(self, wildest_formal):
         a = enumerate_block_classes(wildest_formal, 5)

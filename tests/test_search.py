@@ -140,6 +140,21 @@ class TestValidators:
         )
         assert canonical_block(shifted) == canonical_block(Z36_BLOCK)
 
+    @given(st.integers(1, 5).flatmap(lambda h: st.integers(1, 5).flatmap(lambda w: st.one_of(
+        # A random block, or one of period (ph, pw) with ph | h and pw | w,
+        # whose translates tie on the first row and on the whole block.
+        st.lists(st.lists(st.integers(0, 3), min_size=w, max_size=w), min_size=h, max_size=h),
+        st.tuples(st.sampled_from([d for d in range(1, h + 1) if h % d == 0]),
+                  st.sampled_from([d for d in range(1, w + 1) if w % d == 0]),
+                  st.lists(st.lists(st.integers(0, 2), min_size=w, max_size=w), min_size=h, max_size=h)).map(
+            lambda t: [[t[2][i % t[0]][j % t[1]] for j in range(w)] for i in range(h)])))))
+    def test_canonical_is_least_of_every_translate(self, rows):
+        block = tuple(map(tuple, rows))
+        h, w = len(block), len(block[0])
+        translates = [tuple(tuple(block[(i + di) % h][(j + dj) % w] for j in range(w)) for i in range(h))
+                      for di in range(h) for dj in range(w)]
+        assert canonical_block(block) == min(translates)
+
 
 class TestConfig:
     def test_validation(self):
