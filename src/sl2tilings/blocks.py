@@ -14,8 +14,8 @@ renaming parameters in first-occurrence order, and take the minimum over the
 cell, with every +-1 one of 8 marks for its sign and the parities of its row
 and column in the model; each sign change is then one ``str.translate`` table
 from marks to + and -, and only the least of the 64 strings is serialized.
-Block classes slice the blocks of up to ``_STRIP`` origins of a row from the
-strings of one window.
+Block classes slice the blocks of up to ``_STRIP`` origins of a row, and the
+representative of each class, from one window.
 
 The same tokens give both ranks.  A block is a mixed matrix, whose rank over
 Q(a) is the size of a matroid union (``_symbolic_deficiency``); the probe
@@ -25,6 +25,7 @@ puts integers in place of its parameters (``_probe_deficiency``).
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import chain
 
 from .errors import StructuralError, ValidationError, _Frozen
@@ -99,10 +100,11 @@ def _least_form(rows: list[str]) -> str:
     each image by first occurrence, to characters that sort as their names
     do (p1 < p10 < p2).
     """
-    images = []
-    for _ in range(4):
-        rows = ["".join(col) for col in zip(*rows[::-1])]
-        images += ["".join(rows), "".join(map("".join, zip(*rows)))]
+    # The block, its rows upside down, their transposes (the block's columns
+    # as rows), and each of those four read backwards.
+    n, block, flipped = len(rows), "".join(rows), "".join(rows[::-1])
+    images = [block, flipped, "".join([block[c::n] for c in range(n)]), "".join([flipped[c::n] for c in range(n)])]
+    images += [s[::-1] for s in images]
     named = set(images[0]).difference(_MARKS, "0P")
     # spelled maps the characters, in name order, to the names; renamed[k - 1]
     # is the character of pk.
@@ -111,7 +113,9 @@ def _least_form(rows: list[str]) -> str:
     if named:
         images = [s.translate(dict(zip(map(ord, dict.fromkeys(c for c in s if c in named)), renamed)))
                   for s in images]
-    best = min(s.translate(table) for s in images for table in _SIGN_CHANGES)
+    # One translate per sign change, of the 8 images joined by spaces.
+    joined = " ".join(images)
+    best = min(chain.from_iterable(joined.translate(table).split(" ") for table in _SIGN_CHANGES))
     parts = " ".join(best).translate(spelled).split("P")
     return "".join(f"{part}p{k}" for k, part in enumerate(parts[:-1], 1)) + parts[-1]
 
@@ -160,20 +164,20 @@ def _corner_classes(t: TilingModel, n: int) -> tuple[BlockClass, ...]:
     if not isinstance(t, Patched) or not t.is_formal():
         raise StructuralError("block classes are defined for formal patched tilings")
     p, q, _ = _torus_basis(t)
-    by_encoding: dict[str, tuple[Window, int]] = {}
+    reps: dict[str, Window] = {}
+    counts: Counter[str] = Counter()
     for i in range(p):
         for j0 in range(0, q, _STRIP):
             width = min(_STRIP, q - j0)
-            strip = _cell_rows(extract_window(t, i, j0, n, n + width - 1))
+            win = extract_window(t, i, j0, n, n + width - 1)
+            payloads, strip = win.matrix.payload_rows(), _cell_rows(win)
             for c in range(width):
                 enc = _least_form([row[c:c + n] for row in strip])
-                rep, count = by_encoding.get(enc) or (extract_window(t, i, j0 + c, n, n), 0)
-                by_encoding[enc] = (rep, count + 1)
-    classes = [
-        BlockClass(enc, rep, count) for enc, (rep, count) in by_encoding.items()
-    ]
-    classes.sort(key=lambda c: c.encoding)
-    return tuple(classes)
+                if enc not in reps:
+                    cells = tuple(chain.from_iterable(row[c:c + n] for row in payloads))
+                    reps[enc] = Window(Matrix(t.ring, n, n, cells), (i, j0 + c))
+                counts[enc] += 1
+    return tuple(BlockClass(enc, reps[enc], counts[enc]) for enc in sorted(reps))
 
 
 class RankEntry(_Frozen):

@@ -189,17 +189,17 @@ class TestCanonicalForm:
                     win = extract_window(t, i0, j0, n, n)
                     assert canonical_block_form(win) == reference_form(win), (lattice, n, i0, j0)
 
-    def test_one_strip_per_chunk_and_one_window_per_class(self, monkeypatch):
-        # One extract_window per _STRIP origins of a row, and one more for
-        # each class's representative; no strip is wider than its blocks need.
+    def test_one_window_per_strip(self, monkeypatch):
+        # One extract_window per _STRIP origins of a row, no wider than its
+        # blocks need; the representatives are sliced from it.
         t, n = formal_patched(1, 1, 2500, 0), 5
         p, q, _ = blocks._torus_basis(t)
         calls = []
         monkeypatch.setattr(blocks, "extract_window", lambda t, i, j, h, w: calls.append(w) or extract_window(t, i, j, h, w))
         classes = enumerate_block_classes(t, n)
         assert sum(c.orbit_size for c in classes) == p * q
-        assert len(calls) <= p * -(-q // blocks._STRIP) + len(classes)
-        assert max(calls) <= n + blocks._STRIP - 1
+        assert len(calls) == p * -(-q // blocks._STRIP)
+        assert max(calls) == n + blocks._STRIP - 1
 
 
 class TestEnumeration:
@@ -229,6 +229,7 @@ class TestEnumeration:
     def test_representatives_match_encoding(self, wildest_formal):
         for c in enumerate_block_classes(wildest_formal, 4):
             assert reference_form(c.representative) == c.encoding
+            assert c.representative == extract_window(wildest_formal, *c.representative.origin, 4, 4)
 
     def test_deterministic(self, wildest_formal):
         a = enumerate_block_classes(wildest_formal, 5)
