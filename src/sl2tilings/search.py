@@ -11,8 +11,11 @@ above-left of it, a linear congruence whose gcd-many solutions come as a
 iterators, one per placed cell, so its depth is bounded by the block's
 cells, not by the interpreter's recursion limit.  Every candidate tried
 counts as a node; the wrapped windows are checked on plain ints as soon as
-their last cell is placed.  A complete block's det3s are read from the
-corner formula ``corner_det3``, valid as its every wrapped det2 is 1.
+their last cell is placed.  Below a complete row whose first two cells
+share a factor with the modulus no window closes, so the next cell's
+candidates are counted as nodes, not walked.  A complete block's det3s are
+read from the corner formula ``corner_det3``, valid as its every wrapped
+det2 is 1.
 Solutions are canonicalized by torus translation and reported in
 lexicographic order.
 
@@ -37,9 +40,12 @@ budget times the widest gap between candidates.  Under pruning, a modulus
 over 2^20 + 1 with no prime factor up to 2^20 has a gap over 2^20 residues,
 so its budgeted search is refused.  Each DFS part is plain data, (modulus,
 rows, cols, prune, first, budget), ``first`` a slice of the row-0 orbits or
-of the first cell's candidates.  Candidate values are never listed, and each
-DFS keeps at most 2^16 congruence ranges, so a budgeted search at any
-modulus needs no more memory than its block and that cache.
+of the first cell's candidates.  The parts run in P = min(parts, CPUs)
+processes counting the caller, each taking every P-th part: the caller runs
+its share while P - 1 workers forked with ``os.fork`` run theirs and send
+the results back marshalled over a pipe.  Candidate values are never
+listed, and each DFS keeps at most 2^16 congruence ranges, so a budgeted
+search at any modulus needs no more memory than its block and that cache.
 
 The exhaustive oracle for cross-checking shares only ``canonical_block``
 with the DFS: it keeps the pairs of rows whose wrapped 2x2 windows all have
@@ -50,7 +56,9 @@ is either produced or ruled out by a failing row pair.
 
 from __future__ import annotations
 
+import marshal
 import os
+import signal
 from itertools import compress, islice, product, repeat
 from math import gcd, isqrt, prod
 
@@ -215,8 +223,9 @@ def _dfs(part) -> tuple[tuple[Block, ...], int, bool]:
     is kept only if the wrapped windows it closes have determinant 1.  A kept
     candidate on the last cell completes a block; elsewhere it pushes the
     candidates of the next cell unless they are an empty range, solved from
-    one cache keyed by the congruence nw*x = c.  An exhausted iterator is
-    popped to resume the cell before it.  Returns the sorted canonical
+    one cache keyed by the congruence nw*x = c, or the candidates below a
+    row with no successor, which are counted instead.  An exhausted iterator
+    is popped to resume the cell before it.  Returns the sorted canonical
     solutions, the node count (below row 0 if unbudgeted) and whether the
     budget ran out.
     """
@@ -228,6 +237,8 @@ def _dfs(part) -> tuple[tuple[Block, ...], int, bool]:
     top = b[0]
     solutions: set[Block] = set()
     total = 0
+    # |D|, under pruning counted at the first row with no successor.
+    dead = None if prune else n
     if budget is None:
         roots = islice(_row_orbits(n, h, w, prune), first.start, first.stop, first.step)
         start, first = 1, slice(None)
@@ -237,6 +248,10 @@ def _dfs(part) -> tuple[tuple[Block, ...], int, bool]:
         top[:] = row0
         i, j, nodes, leaves = start, 0, 0, []
         stack = [islice(_candidates(n, prune), first.start, first.stop, first.step)]
+        if budget is None and gcd(top[0], top[1], n) > 1:
+            # Row 0 has no successor, as below: |D| nodes and no leaf.
+            dead = dead or sum(1 for _ in _candidates(n, prune))
+            stack, nodes = [], dead
         while stack:
             row = b[i]
             for x in stack[-1]:
@@ -257,6 +272,16 @@ def _dfs(part) -> tuple[tuple[Block, ...], int, bool]:
                     if i == south:
                         if _leaf_is_wild(b, n, centers):
                             leaves.append(tuple(map(tuple, b)))
+                        continue
+                    if gcd(row[0], row[1], n) > 1:
+                        # The gcd divides the window's determinant at (i, 0):
+                        # each of the |D| candidates at (i + 1, 0) is a dead
+                        # node, counted up to one past the budget's end.
+                        dead = dead or sum(1 for _ in islice(_candidates(n, prune),
+                                                             None if budget is None else budget - nodes + 1))
+                        nodes += dead
+                        if budget is not None and nodes > budget:
+                            return tuple(sorted({*map(canonical_block, leaves)})), budget, True
                         continue
                     i, j = i + 1, 0
                     stack.append(_candidates(n, prune))
@@ -287,16 +312,58 @@ def _dfs(part) -> tuple[tuple[Block, ...], int, bool]:
     return tuple(sorted(solutions)), total, False
 
 
-def _run(parts: list, workers: int) -> list:
-    """``_dfs`` of every part, in a pool of up to ``workers`` processes."""
-    if workers == 1:
-        return list(map(_dfs, parts))
-    # Imported here: a single-worker search, and every other command,
-    # skips its start-up cost.
-    from concurrent.futures import ProcessPoolExecutor
+def _start(shares: list):
+    """Fork a worker that runs ``_dfs`` on each part of ``shares`` and sends
+    the results marshalled over a pipe.  Returns ``collect``, which reads
+    them and reaps the worker, raising if it failed, or kills it first."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if not pid:
+        # Only os._exit: any other exit would flush the caller's buffered
+        # output once more, or go on running the caller's code.
+        try:
+            os.close(read)
+            with open(write, "wb") as pipe:
+                pipe.write(marshal.dumps([_dfs(part) for part in shares]))
+        except BaseException:
+            os._exit(1)
+        os._exit(0)
+    os.close(write)
 
-    with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
-        return list(pool.map(_dfs, parts))
+    def collect(kill: bool = False) -> list:
+        payload = None
+        with open(read, "rb") as pipe:
+            try:
+                payload = None if kill else pipe.read()
+            finally:
+                # Reaped on every way out, killed unless read in full.
+                if payload is None:
+                    os.kill(pid, signal.SIGKILL)
+                status = os.waitpid(pid, 0)[1]
+        if status and not kill:
+            raise RuntimeError(f"search worker {pid} failed with exit code {os.waitstatus_to_exitcode(status)}")
+        return [] if kill else marshal.loads(payload)
+
+    return collect
+
+
+def _run(parts: list) -> list:
+    """``_dfs`` of every part in P = min(parts, CPUs) processes counting this
+    one, process k taking every P-th part from the k-th, or in turn here
+    without ``os.fork``.  Every worker is reaped before this returns or
+    raises, and killed first if this process's own share raised."""
+    procs = min(len(parts), os.cpu_count() or 1) if hasattr(os, "fork") else 1
+    pending = []
+    try:
+        for k in range(1, procs):
+            pending.append(_start(parts[k::procs]))
+        results = [_dfs(part) for part in parts[::procs]]
+        while pending:
+            results += pending.pop(0)()
+        return results
+    finally:
+        for collect in pending:
+            collect(kill=True)
 
 
 def search_fully_wild(config: SearchConfig) -> SearchResult:
@@ -344,7 +411,7 @@ def search_fully_wild(config: SearchConfig) -> SearchResult:
         nodes = 0
     merged: set[Block] = set()
     exhausted = False
-    for sols, count, ex in _run(parts, workers):
+    for sols, count, ex in _run(parts):
         merged.update(sols)
         nodes += count
         exhausted = exhausted or ex

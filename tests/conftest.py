@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from sl2tilings import (
@@ -38,3 +40,11 @@ def pqrs3243():
 @pytest.fixture(scope="session")
 def catalog(unit, wildest, z36, pqrs3243):
     return {"unit": unit, "wildest": wildest, "z36": z36, "pqrs": pqrs3243}
+
+
+@pytest.fixture(autouse=True)
+def at_most_two_cpus(monkeypatch):
+    """A search forks one worker fewer than min(parts, CPUs): on any machine
+    no test starts more than one, unless it sets the CPU count itself."""
+    cpus = os.cpu_count()
+    monkeypatch.setattr(os, "cpu_count", lambda: min(cpus or 1, 2))

@@ -569,6 +569,30 @@ class TestSearch:
         code, _, _ = run_cli("search", capsys=capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("args", [["--modulus", "5"], ["--modulus", "36", "--budget", "20000"]])
+    def test_two_jobs_print_the_bytes_of_one(self, tmp_path, args):
+        # Each run is a fresh process, so a worker that flushed the caller's
+        # buffered output on its way out would show here.
+        for json_flag in ([], ["--json"]):
+            runs = [_python(tmp_path, "-m", "sl2tilings", "search", *args, "--jobs", jobs, *json_flag)
+                    for jobs in ("1", "2")]
+            assert runs[0].returncode == 0 and runs[0].stderr == b""
+            assert [(r.returncode, r.stdout, r.stderr) for r in runs[1:]] == [
+                (runs[0].returncode, runs[0].stdout, runs[0].stderr)]
+
+    def test_two_workers_import_no_pool(self, tmp_path):
+        # Two workers on two CPUs fork one process: the caller imports neither
+        # multiprocessing nor concurrent.futures, and the worker leaves without
+        # writing out the caller's unflushed "before" a second time.
+        code = ("import os, sys\n"
+                "os.cpu_count = lambda: 2\n"
+                "from sl2tilings import SearchConfig, search_fully_wild\n"
+                "print('before', end='')\n"
+                "nodes = search_fully_wild(SearchConfig(5, 4, 4, worker_count=2)).stats.nodes\n"
+                "print('', nodes, sorted({'multiprocessing', 'concurrent.futures', 'pickle'} & set(sys.modules)))\n")
+        proc = _python(tmp_path, "-c", code)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"before 194185 []\n", b"")
+
     def test_json_formats_no_grid_document(self, monkeypatch, capsys):
         # The search is stubbed to find the z36 block: --json lists it without
         # formatting a grid document, and text mode prints that document.
@@ -695,15 +719,21 @@ class TestWindowBound:
             assert main([*argv, *extra]) == 0
             assert capsys.readouterr() == ("# solutions=0 nodes=10 budget_exhausted=true\n", "")
 
-    def test_budgeted_part_bound(self, tmp_path, capsys):
+    def test_budgeted_part_bound(self, tmp_path, capsys, monkeypatch):
         # A budgeted search builds min(--jobs, --budget) parts: 10,000 pass the
         # bound (5 first-cell values make 5 parts here); more are refused
         # before any part is counted or built.  First in a capped subprocess,
         # where a missing bound fails with MemoryError after seconds, then
         # timed in this process, where no interpreter start adds to the time.
+        # The 5 parts run in 2 processes on 2 CPUs: one forked worker takes
+        # parts 1 and 3, this process parts 0, 2 and 4.
+        shares, start = [], sl2tilings.search._start
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(sl2tilings.search, "_start", lambda share: shares.append(share) or start(share))
         assert main(["search", "--modulus", "5", "--rows", "2", "--cols", "2",
                      "--budget", "10000", "--jobs", "10000"]) == 0
         assert capsys.readouterr().out == "# solutions=0 nodes=275 budget_exhausted=false\n"
+        assert [[part[4] for part in share] for share in shares] == [[slice(1, None, 5), slice(3, None, 5)]]
         argv = ["search", "--modulus", str(10**12), "--budget", str(10**8), "--jobs", str(10**8)]
         message = "error: a budgeted search splits into min(workers, budget) = {} parts, over the bound of 10000\n"
         proc = _python(tmp_path, "-m", "sl2tilings", *argv, timeout=60, preexec_fn=_cap_memory)

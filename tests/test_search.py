@@ -1,5 +1,8 @@
-import concurrent.futures
+import marshal
+import os
+import signal
 import time
+from types import SimpleNamespace
 from itertools import product
 from math import gcd
 
@@ -83,6 +86,21 @@ def wrapped_cases(draw):
         if draw(st.booleans()):
             rows[draw(st.integers(0, h - 1))][draw(st.integers(0, w - 1))] += draw(st.integers(1, modulus - 1))
     return tuple(map(tuple, rows)), modulus
+
+
+def _in_process(starts):
+    """A stand-in for ``search._start`` that runs a worker's share in this
+    process at once and records the share."""
+    def start(shares):
+        starts.append(shares)
+        results = [sl2tilings.search._dfs(part) for part in shares]
+        return lambda kill=False: results
+
+    return start
+
+
+def _no_start(shares):
+    raise AssertionError("a worker process was started")
 
 
 class TestPropagate:
@@ -216,35 +234,22 @@ class TestSearch:
         assert solo.stats.solutions == multi.stats.solutions
 
     def test_large_job_count_is_bounded(self, monkeypatch):
-        # A fake pool that runs in this process and records its size: no real
-        # process is ever started for the large job count.
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        # search imports the pool class when it needs more than one worker.
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        # A stand-in for the seam that forks a worker runs its share in this
+        # process and records it: no real process is started for the large
+        # job count.
+        starts = []
+        monkeypatch.setattr(sl2tilings.search, "_start", _in_process(starts))
         solo = search_fully_wild(SearchConfig(5, 2, 2))
         # Without a budget the parts take the row-0 orbit representatives in
         # turn.  2x2 mod 5 has four, each cell 0 or 1 (its orbit under the
         # units is {0} or {1, 2, 3, 4}), so there are min(J, cpus, 4) parts,
-        # and a single part runs in this process with no pool.
-        for cpus, pool_size in ((64, 4), (2, 2), (None, 1)):
-            monkeypatch.setattr(sl2tilings.search.os, "cpu_count", lambda: cpus)
-            sizes.clear()
+        # each in a process of its own counting this one, and a single part
+        # runs in this process with no fork.
+        for cpus, processes in ((64, 4), (2, 2), (None, 1)):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            starts.clear()
             multi = search_fully_wild(SearchConfig(5, 2, 2, worker_count=10_000))
-            assert sizes == ([pool_size] if pool_size > 1 else [])
+            assert 1 + len(starts) == processes
             assert multi.solutions == solo.solutions
             assert multi.stats.nodes == solo.stats.nodes
         # Per-worker budgets are those of one worker per first-cell value.
@@ -272,7 +277,7 @@ class TestSearch:
         # below row 0 are stubbed, so only row 0's count, |D| + |D|^2 for two
         # columns, is paid for.  The non-units mod 2^20 + 1 = 17 * 61681 are
         # the multiples of 17 and those of 61681, 0 among both.
-        monkeypatch.setattr(sl2tilings.search, "_run", lambda parts, workers: [((), 0, False)] * len(parts))
+        monkeypatch.setattr(sl2tilings.search, "_run", lambda parts: [((), 0, False)] * len(parts))
         for config, d in ((SearchConfig(1024, 3, 2), 1024),
                           (SearchConfig(2**20 + 1, 2, 2, prune_nonunits=True), 61681 + 17 - 1)):
             assert search_fully_wild(config).stats.nodes == d + d * d
@@ -321,11 +326,9 @@ class TestTraversal:
 
     def test_no_process_for_an_empty_budget_share(self, capsys, monkeypatch):
         # One budgeted node for two jobs: a second worker would get none, so
-        # no pool is started at all.
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a worker pool was started")
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        # no worker is started at all.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(sl2tilings.search, "_start", _no_start)
         assert main(["search", "--modulus", "5", "--budget", "1", "--jobs", "2"]) == 0
         assert capsys.readouterr() == ("# solutions=0 nodes=1 budget_exhausted=true\n", "")
 
@@ -334,6 +337,182 @@ class TestTraversal:
         # budget bounds the work.
         assert main(["search", "--modulus", "2", "--rows", "2", "--cols", "1200", "--budget", "5000"]) == 0
         assert capsys.readouterr() == ("# solutions=0 nodes=5000 budget_exhausted=true\n", "")
+
+
+def _budgeted(config, budget):
+    """(solutions, nodes, budget_exhausted) of the config under a budget."""
+    result = search_fully_wild(SearchConfig(config.modulus, config.rows, config.cols,
+                                            prune_nonunits=config.prune_nonunits, node_budget=budget))
+    return result.solutions, result.stats.nodes, result.stats.budget_exhausted
+
+
+def _walk_every_row(monkeypatch):
+    """Turn off the count of rows with no successor, so that the DFS walks
+    their candidates cell by cell: it asks whether gcd(row[0], row[1], n) > 1,
+    and a three-argument gcd now answers 1.  Returns the calls it answered."""
+    calls = []
+
+    def gcd_of_two(*args):
+        if len(args) == 3:
+            calls.append(args)
+            return 1
+        return gcd(*args)
+
+    monkeypatch.setattr(sl2tilings.search, "gcd", gcd_of_two)
+    return calls
+
+
+class TestDeadRows:
+    # A complete row with gcd(row[0], row[1], N) > 1 has no successor: every
+    # candidate of the next row's first cell is a node that closes nothing.
+    # The DFS adds those |D| nodes at once; these tests hold it to the walk.
+
+    @pytest.mark.parametrize("prune", [False, True])
+    def test_budgets_across_the_first_dead_rows_4x4_mod36(self, monkeypatch, prune):
+        # Row 0 = (0, 0, 0, 0) completes at 4 nodes and has no successor, nor
+        # have the rows after it: unpruned they add 36 nodes each (at 40, 77,
+        # ...), pruned 24 (at 28, 53, 78, ...).  Budgets 1 to 80 end before,
+        # inside and just after them; the unbudgeted total T is far over 80.
+        config = SearchConfig(36, 4, 4, prune_nonunits=prune)
+        budgets = range(1, 81)
+        counted = [_budgeted(config, b) for b in budgets]
+        assert [(nodes, exhausted) for _, nodes, exhausted in counted] == [(b, True) for b in budgets]
+        calls = _walk_every_row(monkeypatch)
+        assert [_budgeted(config, b) for b in budgets] == counted
+        assert calls
+
+    @pytest.mark.parametrize(
+        "config, total",
+        [(SearchConfig(6, 3, 3), 5_298), (SearchConfig(6, 4, 4, prune_nonunits=True), 8_216),
+         (SearchConfig(8, 3, 3), 17_736)],
+    )
+    def test_budgets_up_to_the_total(self, monkeypatch, config, total):
+        # With the wild filter off the leaves are the SL2 blocks, so the
+        # solutions grow with the budget; nodes == min(B, T) and the budget
+        # runs out exactly when B < T.
+        monkeypatch.setattr(sl2tilings.search, "_leaf_is_wild", lambda b, n, centers: True)
+        budgets = [*range(1, 100), *range(100, total, total // 37), total - 1, total, total + 1]
+        counted = [_budgeted(config, b) for b in budgets]
+        assert [(nodes, exhausted) for _, nodes, exhausted in counted] == [(min(b, total), b < total) for b in budgets]
+        assert all(set(a) <= set(b) for (a, _, _), (b, _, _) in zip(counted, counted[1:]))
+        assert counted[-1][0] == search_fully_wild(config).solutions != ()
+        calls = _walk_every_row(monkeypatch)
+        assert [_budgeted(config, b) for b in budgets] == counted
+        assert calls
+
+
+class TestWorkers:
+    # Every test here forks one worker at most, on 2 CPUs as the stand-in
+    # says; the caller runs the other share.
+    CONFIG = SearchConfig(5, 4, 4, node_budget=2_000, worker_count=2)
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pids of the workers forked by the test, as the caller saw them."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        pids, fork = [], os.fork
+
+        def recorded():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recorded)
+        return pids
+
+    @staticmethod
+    def assert_reaped(pids):
+        assert len(pids) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pids[0], os.WNOHANG)
+
+    def test_forked_worker_matches_one_process(self, forks, monkeypatch):
+        forked = search_fully_wild(self.CONFIG)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert search_fully_wild(self.CONFIG) == forked
+        assert forked.stats.nodes == 2_000
+        self.assert_reaped(forks)
+
+    @pytest.mark.parametrize("failure, code", [("raise", 1), ("kill", -9)])
+    def test_failing_worker_makes_the_search_raise(self, forks, monkeypatch, failure, code):
+        caller, dfs = os.getpid(), sl2tilings.search._dfs
+
+        def worker_fails(part):
+            if os.getpid() != caller:
+                if failure == "kill":
+                    os.kill(os.getpid(), 9)
+                raise ValueError("a failing worker")
+            return dfs(part)
+
+        monkeypatch.setattr(sl2tilings.search, "_dfs", worker_fails)
+        with pytest.raises(RuntimeError, match=f"^search worker [0-9]+ failed with exit code {code}$"):
+            search_fully_wild(self.CONFIG)
+        self.assert_reaped(forks)
+
+    def test_truncated_payload_makes_the_search_raise(self, forks, monkeypatch):
+        truncated = SimpleNamespace(dumps=lambda obj: marshal.dumps(obj)[:-1], loads=marshal.loads)
+        monkeypatch.setattr(sl2tilings.search, "marshal", truncated)
+        with pytest.raises((EOFError, ValueError)):
+            search_fully_wild(self.CONFIG)
+        self.assert_reaped(forks)
+
+    def test_failing_caller_kills_its_worker(self, forks, monkeypatch):
+        # The worker would sleep for a minute; the caller's own share raises,
+        # so it kills the worker and reaps it before the error goes on.
+        caller = os.getpid()
+
+        def caller_fails(part):
+            if os.getpid() == caller:
+                raise ValueError("a failing caller")
+            time.sleep(60)
+
+        monkeypatch.setattr(sl2tilings.search, "_dfs", caller_fails)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="a failing caller"):
+            search_fully_wild(self.CONFIG)
+        assert time.perf_counter() - start < 10
+        self.assert_reaped(forks)
+
+    def test_interrupted_caller_kills_its_worker(self, forks, monkeypatch):
+        # The worker would sleep for a minute; an alarm interrupts the caller
+        # while it waits on the worker's pipe, and the worker is killed and
+        # reaped before the interruption goes on.
+        caller, dfs = os.getpid(), sl2tilings.search._dfs
+
+        class Interrupted(Exception):
+            pass
+
+        def slow_worker(part):
+            if os.getpid() != caller:
+                time.sleep(60)
+            return dfs(part)
+
+        def interrupt(signum, frame):
+            raise Interrupted
+
+        monkeypatch.setattr(sl2tilings.search, "_dfs", slow_worker)
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        try:
+            start = time.perf_counter()
+            signal.setitimer(signal.ITIMER_REAL, 0.5)
+            with pytest.raises(Interrupted):
+                search_fully_wild(self.CONFIG)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.perf_counter() - start < 10
+        self.assert_reaped(forks)
+
+    def test_without_fork_the_parts_run_in_turn(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        starts = []
+        monkeypatch.setattr(sl2tilings.search, "_start", _in_process(starts))
+        expected = search_fully_wild(self.CONFIG)
+        assert len(starts) == 1
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(sl2tilings.search, "_start", _no_start)
+        assert search_fully_wild(self.CONFIG) == expected
 
 
 def _scalings(block, modulus):
