@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import marshal
 import os
-import signal
 from itertools import compress, islice, product, repeat
 from math import gcd, isqrt, prod
 
@@ -336,9 +335,13 @@ def _start(shares: list):
             try:
                 payload = None if kill else pipe.read()
             finally:
-                # Reaped on every way out, killed unless read in full.
+                # Reaped on every way out, killed unless read in full.  The
+                # signal module is imported here: every CLI process would
+                # pay about 1 ms for it.
                 if payload is None:
-                    os.kill(pid, signal.SIGKILL)
+                    from signal import SIGKILL
+
+                    os.kill(pid, SIGKILL)
                 status = os.waitpid(pid, 0)[1]
         if status and not kill:
             raise RuntimeError(f"search worker {pid} failed with exit code {os.waitstatus_to_exitcode(status)}")
