@@ -402,8 +402,8 @@ class TestDeadRows:
 
 
 class TestWorkers:
-    # Every test here forks one worker at most, on 2 CPUs as the stand-in
-    # says; the caller runs the other share.
+    # Every test here forks one worker at most: the ``forks`` fixture sets 2
+    # CPUs, and the caller runs the other share.
     CONFIG = SearchConfig(5, 4, 4, node_budget=2_000, worker_count=2)
 
     @pytest.fixture
