@@ -11,9 +11,10 @@ flip.  Parameters are never negated: they stand for arbitrary nonzero values.
 Canonical encodings serialize a block row-major with tokens 0 / + / - / pK,
 renaming parameters in first-occurrence order, and take the minimum over the
 64 transforms.  A block is held as one string per row, one character per
-cell, with every +-1 one of 8 marks for its sign and the parities of its row
-and column in the model; each sign change is then one ``str.translate`` table
-from marks to + and -, and only the least of the 64 strings is serialized.
+cell: every +-1 one of 8 marks for its sign and the parities of its row and
+column in the model, and every parameter P, as none repeats in a window of a
+formal model.  Each sign change is then one ``str.translate`` table from marks
+to + and -; only the least of the 64 strings is serialized, the k-th P as pk.
 Block classes slice the blocks of up to ``_STRIP`` origins of a row, and the
 representative of each class, from one window.
 
@@ -53,15 +54,12 @@ _SIGN_CHANGES = tuple(
         for neg in (0, 1) for r in (0, 1) for c in (0, 1)))
     for alpha in (0, 1) for beta in (0, 1) for gamma in (0, 1)
 )
-# Parameters that repeat are written from this code point on, above every
-# other cell character.
-_NAMED = 0x100
 
 
-def _cell_token(p: int | _Poly) -> int | str:
+def _cell_token(p: _Poly) -> int | str:
     """The parameter's index, or 0 / + / - for a constant entry, of a payload."""
-    var, const = (p.single_variable(), p.constant()) if isinstance(p, _Poly) else (None, p)
-    tok = var if var is not None else _TOKENS.get(const)
+    var = p.single_variable()
+    tok = var if var is not None else _TOKENS.get(p.constant())
     if tok is None:
         raise StructuralError(f"entry {p} is outside the 0 / +1 / -1 / parameter alphabet")
     return tok
@@ -77,15 +75,10 @@ def _token_grid(win: Window) -> list[list[int | str]]:
 def _cell_rows(win: Window) -> list[str]:
     """The window's rows as strings of cells: 0, the mark of each +-1 entry
     by its sign and the parities of its row and column in the model, and P
-    for each parameter, as in every window of a formal model, unless some
-    parameter repeats: then each has a character of its own."""
-    grid = _token_grid(win)
-    params = [tok for row in grid for tok in row if isinstance(tok, int)]
-    named = len(set(params)) < len(params)
-    chars = {tok: chr(_NAMED + x) if named else "P" for x, tok in enumerate(set(params))} | {"0": "0"}
+    for each parameter."""
     i0, j0 = win.origin
-    return ["".join(_MARKS[4 * (tok == "-") + 2 * (i % 2) + j % 2] if tok in _SIGNS else chars[tok]
-                    for j, tok in enumerate(row, j0)) for i, row in enumerate(grid, i0)]
+    return ["".join(_MARKS[4 * (tok == "-") + 2 * (i % 2) + j % 2] if tok in _SIGNS else "0" if tok == "0" else "P"
+                    for j, tok in enumerate(row, j0)) for i, row in enumerate(_token_grid(win), i0)]
 
 
 def _least_form(rows: list[str]) -> str:
@@ -96,35 +89,18 @@ def _least_form(rows: list[str]) -> str:
     and under the transpose, so marks by model parity give every dihedral
     image the same 8 tables.  The separator sorts below every cell character
     and + < - < 0 < P, so cell strings compare as their serializations do,
-    and the k-th P of every image is pk.  Repeated parameters are renamed in
-    each image by first occurrence, to characters that sort as their names
-    do (p1 < p10 < p2).
+    and the k-th P of every image is pk.
     """
     # The block, its rows upside down, their transposes (the block's columns
     # as rows), and each of those four read backwards.
     n, block, flipped = len(rows), "".join(rows), "".join(rows[::-1])
     images = [block, flipped, "".join([block[c::n] for c in range(n)]), "".join([flipped[c::n] for c in range(n)])]
     images += [s[::-1] for s in images]
-    named = set(images[0]).difference(_MARKS, "0P")
-    # spelled maps the characters, in name order, to the names; renamed[k - 1]
-    # is the character of pk.
-    spelled = dict(enumerate(sorted(f"p{k}" for k in range(1, len(named) + 1)), _NAMED))
-    renamed = sorted(spelled, key=lambda c: int(spelled[c][1:]))
-    if named:
-        images = [s.translate(dict(zip(map(ord, dict.fromkeys(c for c in s if c in named)), renamed)))
-                  for s in images]
     # One translate per sign change, of the 8 images joined by spaces.
     joined = " ".join(images)
     best = min(chain.from_iterable(joined.translate(table).split(" ") for table in _SIGN_CHANGES))
-    parts = " ".join(best).translate(spelled).split("P")
+    parts = " ".join(best).split("P")
     return "".join(f"{part}p{k}" for k, part in enumerate(parts[:-1], 1)) + parts[-1]
-
-
-def canonical_block_form(win: Window) -> str:
-    """Minimal serialization of a square block over its symmetry group."""
-    if win.rows != win.cols:
-        raise StructuralError(f"block must be square, got {win.rows}x{win.cols}")
-    return _least_form(_cell_rows(win))
 
 
 class BlockClass(_Frozen):

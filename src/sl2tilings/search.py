@@ -43,9 +43,11 @@ rows, cols, prune, first, budget), ``first`` a slice of the row-0 orbits or
 of the first cell's candidates.  The parts run in P = min(parts, CPUs)
 processes counting the caller, each taking every P-th part: the caller runs
 its share while P - 1 workers forked with ``os.fork`` run theirs and send
-the results back marshalled over a pipe.  Candidate values are never
-listed, and each DFS keeps at most 2^16 congruence ranges, so a budgeted
-search at any modulus needs no more memory than its block and that cache.
+the results back marshalled over a pipe; a worker that raises sends the
+exception's repr instead, which the caller's ``RuntimeError`` quotes.
+Candidate values are never listed, and each DFS keeps at most 2^16
+congruence ranges, so a budgeted search at any modulus needs no more
+memory than its block and that cache.
 
 The exhaustive oracle for cross-checking shares only ``canonical_block``
 with the DFS: it keeps the pairs of rows whose wrapped 2x2 windows all have
@@ -319,14 +321,19 @@ def _start(shares: list):
     pid = os.fork()
     if not pid:
         # Only os._exit: any other exit would flush the caller's buffered
-        # output once more, or go on running the caller's code.
+        # output once more, or go on running the caller's code.  A worker
+        # that raises sends the exception's repr instead of results.
+        code = 1
         try:
             os.close(read)
             with open(write, "wb") as pipe:
-                pipe.write(marshal.dumps([_dfs(part) for part in shares]))
-        except BaseException:
-            os._exit(1)
-        os._exit(0)
+                try:
+                    pipe.write(marshal.dumps([_dfs(part) for part in shares]))
+                    code = 0
+                except BaseException as exc:
+                    pipe.write(repr(exc).encode())
+        finally:
+            os._exit(code)
     os.close(write)
 
     def collect(kill: bool = False) -> list:
@@ -344,7 +351,9 @@ def _start(shares: list):
                     os.kill(pid, SIGKILL)
                 status = os.waitpid(pid, 0)[1]
         if status and not kill:
-            raise RuntimeError(f"search worker {pid} failed with exit code {os.waitstatus_to_exitcode(status)}")
+            code = os.waitstatus_to_exitcode(status)
+            error = f": {payload.decode(errors='replace')}" if code == 1 and payload else ""
+            raise RuntimeError(f"search worker {pid} failed with exit code {code}{error}")
         return [] if kill else marshal.loads(payload)
 
     return collect
@@ -383,16 +392,14 @@ def search_fully_wild(config: SearchConfig) -> SearchResult:
                 f"over the bound of {_MAX_STEPS} steps; pass --budget to cap the nodes"
             )
         # One part per process, or per row 0 when there are fewer.
-        cap = min(config.worker_count, os.cpu_count() or 1)
-        workers = sum(1 for _ in islice(_row_orbits(n, h, w, prune), cap))
-        parts = [(n, h, w, prune, slice(k, None, workers), None) for k in range(workers)]
+        cap, roots = min(config.worker_count, os.cpu_count() or 1), _row_orbits(n, h, w, prune)
         # Row 0 has no window to check: its |D|^k prefixes of each length k are nodes.
         d = sum(1 for _ in _candidates(n, prune))
         nodes = sum(d**k for k in range(1, w + 1))
     else:
         # More workers than first-cell values or budgeted nodes would get no
         # work; counting the values only up to that cap keeps it lazy.
-        cap = min(config.worker_count, budget)
+        cap, roots, nodes = min(config.worker_count, budget), _candidates(n, prune), 0
         if cap > _MAX_PARTS:
             raise UnsupportedOperationError(
                 f"a budgeted search splits into min(workers, budget) = {cap} parts, "
@@ -405,13 +412,10 @@ def search_fully_wild(config: SearchConfig) -> SearchResult:
                 f"a pruned search walks over {_MAX_STEPS} residues from one non-unit to the next, "
                 f"as {n} has no prime factor up to {_MAX_STEPS}; search without --prune-nonunits"
             )
-        workers = sum(1 for _ in islice(_candidates(n, prune), cap))
-        # Worker k gets budget // workers nodes, one more while k < budget % workers.
-        parts = [
-            (n, h, w, prune, slice(k, None, workers), budget // workers + (k < budget % workers))
-            for k in range(workers)
-        ]
-        nodes = 0
+    workers = sum(1 for _ in islice(roots, cap))
+    # With a budget, part k gets budget // workers nodes, one more while k < budget % workers.
+    parts = [(n, h, w, prune, slice(k, None, workers), budget and budget // workers + (k < budget % workers))
+             for k in range(workers)]
     merged: set[Block] = set()
     exhausted = False
     for sols, count, ex in _run(parts):

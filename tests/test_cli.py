@@ -257,6 +257,11 @@ class TestGenerate:
         assert (code, out) == (2, "")
         assert "duplicate" in err
 
+    def test_empty_params_entry_skipped(self, capsys):
+        plain = run_cli("generate", "wildest", "--params", "1=5,default=2", capsys=capsys)
+        assert plain[0] == 0 and "params: default=2,0:6=5\n" in plain[1]
+        assert run_cli("generate", "wildest", "--params", "1=5,,default=2", capsys=capsys) == plain
+
     def test_formal_and_params_conflict(self, capsys):
         code, _, err = run_cli(
             "generate", "wildest", "--formal", "--params", "1=2", capsys=capsys)
@@ -402,6 +407,15 @@ class TestClassesAndRank:
             assert code == 0
             digests.append(hashlib.sha256(out.encode()).hexdigest())
         assert digests == RANK_BOTH_JSON_SHA256
+
+    @pytest.mark.parametrize("command", ["classes", "rank"])
+    def test_alphabet_guard(self, tmp_path, capsys, command):
+        # A formal background entry outside 0 / +1 / -1 has no cell token.
+        path = tmp_path / "two.grid"
+        path.write_text(_doc("ring: Z[a]", "kind: patched", "rows: 1", "cols: 4", "lattice: 3 1 10 6",
+                             "params: formal", grid="0 2 0 -1"))
+        assert run_cli(command, str(path), "--n", "3", capsys=capsys) == (
+            2, "", "error: entry 2 is outside the 0 / +1 / -1 / parameter alphabet\n")
 
     def test_classes_requires_formal(self, files, capsys):
         code, _, err = run_cli("classes", files["z36"], "--n", "3", capsys=capsys)
@@ -843,6 +857,9 @@ class TestErrorLines:
         (["generate", "wildest", "--params", "k=1"], "bad parameter index 'k'"),
         (["density", "win.grid"], "density applies to model documents, not windows"),
         (["density", "unit.grid", "--radii", "1,x"], "bad radii list '1,x'"),
+        (["generate", "wildest", "--params", "0=5"], "parameter index must be positive, got 0"),
+        (["search", "--oracle", "--modulus", "1"], "need modulus >= 2 and a block of at least 2x2"),
+        (["search", "--oracle", "--modulus", "3", "--rows", "1"], "need modulus >= 2 and a block of at least 2x2"),
     ])
     def test_argument_error(self, tmp_path, monkeypatch, capsys, argv, message):
         monkeypatch.chdir(tmp_path)

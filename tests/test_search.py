@@ -446,7 +446,9 @@ class TestWorkers:
             return dfs(part)
 
         monkeypatch.setattr(sl2tilings.search, "_dfs", worker_fails)
-        with pytest.raises(RuntimeError, match=f"^search worker [0-9]+ failed with exit code {code}$"):
+        # A worker that raised names its error; a killed one has none to send.
+        error = r": ValueError\('a failing worker'\)" if failure == "raise" else ""
+        with pytest.raises(RuntimeError, match=f"^search worker [0-9]+ failed with exit code {code}{error}$"):
             search_fully_wild(self.CONFIG)
         self.assert_reaped(forks)
 

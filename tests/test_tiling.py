@@ -283,6 +283,10 @@ class TestExtractWindow:
         assert win.at(0, 0) == wildest.entry(5, -3)
         assert win.origin == (5, -3)
 
+    def test_empty_shape_refused(self, wildest):
+        with pytest.raises(ValidationError, match="^window shape must be positive, got 0x5$"):
+            extract_window(wildest, 0, 0, 0, 5)
+
     def test_equals_entry_grid(self, catalog, wildest_formal):
         # The row fill against entry(i, j) cell by cell, on seeded random
         # windows of every model kind, 1-row and 1-column ones included.
