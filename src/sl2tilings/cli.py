@@ -8,6 +8,7 @@ that cannot be read or written.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from pathlib import Path
@@ -398,6 +399,8 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
+    # Move the start-up heap to the permanent generation: exit skips freeing it.
+    gc.freeze()
     try:
         code = main()
         sys.stdout.flush()

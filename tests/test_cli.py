@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import json
@@ -920,6 +921,47 @@ class TestTopLevel:
         for module in ("sl2tilings", "sl2tilings.cli"):
             proc = _python(tmp_path, "-m", module, *args)
             assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected.stdout, b"")
+
+    @pytest.mark.parametrize("argv, code", [
+        (["verify", "fail.grid", "--json"], 1),
+        (["verify", "bad.grid"], 2),
+        (["generate", "unit", "--out", "missing/u.grid"], 2),
+        (["generate", "unit", "--out", "u.grid"], 0),
+    ], ids=["verify-fails", "parse-error", "unwritable-out", "written-out"])
+    def test_process_exits_match_main(self, tmp_path, monkeypatch, capsys, argv, code):
+        # The pip wrapper and `python -m` end as in-process main() does:
+        # the same exit code, stdout, stderr and written file.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "fail.grid").write_text(FAILING_WINDOW)
+        (tmp_path / "bad.grid").write_text(BAD_DOC)
+        out = tmp_path / (argv[-1] if "--out" in argv else "no-out")
+        expected = run_cli(*argv, capsys=capsys)
+        assert expected[0] == code
+        expected_file = out.read_bytes() if out.is_file() else None
+        for command in (["-c", _entry_point_wrapper(_script_entry("sl2"))], ["-m", "sl2tilings"]):
+            if out.is_file():
+                out.unlink()
+            proc = _python(tmp_path, *command, *argv)
+            assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == expected
+            assert (out.read_bytes() if out.is_file() else None) == expected_file
+
+    def test_run_freezes_the_start_up_heap(self, tmp_path, capsys):
+        # At exit the objects imported at start-up sit in the permanent
+        # generation, so the interpreter's shutdown does not free them one by one.
+        code = ("import atexit, gc, sys; "
+                "atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr)); "
+                "sys.argv = ['sl2', 'generate', 'unit']; "
+                "from sl2tilings.cli import run; run()")
+        proc = _python(tmp_path, "-c", code)
+        assert (proc.returncode, proc.stderr) == (0, b"True\n")
+        assert proc.stdout.decode() == run_cli("generate", "unit", capsys=capsys)[1]
+
+    def test_main_leaves_the_collector_alone(self, capsys):
+        # Library callers and this test run call main() in-process: only the
+        # console entry run() may freeze their heap.
+        before = gc.get_freeze_count()
+        assert run_cli("generate", "unit", capsys=capsys)[0] == 0
+        assert gc.get_freeze_count() == before
 
     def test_cli_import_stays_light(self, tmp_path):
         # Against what a bare interpreter has loaded, importing the CLI adds
