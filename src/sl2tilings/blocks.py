@@ -113,9 +113,6 @@ class BlockClass(_Frozen):
 
     __slots__ = ("encoding", "representative", "orbit_size")
 
-    def __init__(self, encoding: str, representative: Window, orbit_size: int) -> None:
-        self._assign(encoding, representative, orbit_size)
-
 
 def enumerate_block_classes(t: TilingModel, n: int) -> tuple[BlockClass, ...]:
     """Classes of all n x n blocks, sorted by encoding.
@@ -159,15 +156,9 @@ def _corner_classes(t: TilingModel, n: int) -> tuple[BlockClass, ...]:
 class RankEntry(_Frozen):
     __slots__ = ("block_class", "deficiency", "method")
 
-    def __init__(self, block_class: BlockClass, deficiency: int, method: str) -> None:
-        self._assign(block_class, deficiency, method)
-
 
 class RankReport(_Frozen):
     __slots__ = ("n", "entries")
-
-    def __init__(self, n: int, entries: tuple[RankEntry, ...]) -> None:
-        self._assign(n, entries)
 
 
 def _symbolic_deficiency(grid: list[list[int | str]]) -> int:

@@ -9,13 +9,15 @@ _set = object.__setattr__
 class _Frozen:
     """An immutable value made of the fields in its class's ``__slots__``.
 
-    A subclass lists its fields in ``__slots__`` in ``__init__`` order, and
-    its ``__init__`` checks the arguments and sets the slots with ``_assign``
-    (or ``_set``); a slot named with a leading underscore holds something
-    derived from the fields and takes no part below.  Instances are equal
-    when they are of the same class with equal fields, hash as the tuple of
-    their fields, print as ``Name(field=value, ...)`` and pickle by calling
-    ``__init__`` again.
+    A subclass lists its fields once, in ``__slots__``, and ``__init__``
+    below takes them by position or by name in that order; ``help()`` shows
+    only ``(*values, **named)``, and ``repr`` prints the fields in order.
+    Only a class that checks or derives a value writes its own ``__init__``,
+    setting the slots with ``_assign`` (or ``_set``); a slot named with a
+    leading underscore holds something derived from the fields and takes no
+    part below.  Instances are equal when they are of the same class with
+    equal fields, hash as the tuple of their fields, print as
+    ``Name(field=value, ...)`` and pickle by calling ``__init__`` again.
     """
 
     __slots__ = ()
@@ -27,6 +29,14 @@ class _Frozen:
         cls._astuple = staticmethod(
             attrgetter(*names) if len(names) > 1 else lambda self: tuple(getattr(self, n) for n in names)
         )
+
+    def __init__(self, *values, **named) -> None:
+        fields = self._fields
+        if named:
+            values += tuple(named.pop(name) for name in fields[len(values):] if name in named)
+        if len(values) != len(fields) or named:
+            raise TypeError(f"{type(self).__qualname__} takes the fields ({', '.join(fields)})")
+        self._assign(*values)
 
     def _assign(self, *values) -> None:
         """Set the slots from ``__init__``, in order."""

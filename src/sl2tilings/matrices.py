@@ -31,9 +31,6 @@ class Matrix(_Frozen):
 
     __slots__ = ("spec", "rows", "cols", "entries")
 
-    def __init__(self, spec: RingSpec, rows: int, cols: int, entries: tuple) -> None:
-        self._assign(spec, rows, cols, entries)
-
     @staticmethod
     def from_rows(spec: RingSpec, rows: Sequence[Sequence[RingValue]]) -> "Matrix":
         if not rows or not rows[0]:

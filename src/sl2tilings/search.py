@@ -102,15 +102,9 @@ class SearchConfig(_Frozen):
 class SearchStats(_Frozen):
     __slots__ = ("nodes", "solutions", "budget_exhausted")
 
-    def __init__(self, nodes: int, solutions: int, budget_exhausted: bool) -> None:
-        self._assign(nodes, solutions, budget_exhausted)
-
 
 class SearchResult(_Frozen):
     __slots__ = ("solutions", "stats")
-
-    def __init__(self, solutions: tuple[Block, ...], stats: SearchStats) -> None:
-        self._assign(solutions, stats)
 
 
 def block_is_sl2(block: Block, modulus: int) -> bool:

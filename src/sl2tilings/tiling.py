@@ -297,9 +297,6 @@ class Window(_Frozen):
 
     __slots__ = ("matrix", "origin")
 
-    def __init__(self, matrix: Matrix, origin: tuple[int, int]) -> None:
-        self._assign(matrix, origin)
-
     @property
     def rows(self) -> int:
         return self.matrix.rows
@@ -324,9 +321,6 @@ class Violation(_Frozen):
     """A 2x2 window whose determinant is not 1; (i, j) is its top-left cell."""
 
     __slots__ = ("i", "j", "value")
-
-    def __init__(self, i: int, j: int, value: RingValue) -> None:
-        self._assign(i, j, value)
 
 
 # Analyses compute on payload rows with the minors of matrices.py.  The ring's
@@ -417,17 +411,6 @@ def _value_colors(spec: RingSpec, rows: Sequence[Sequence]) -> list[list[CellCol
 class WildnessReport(_Frozen):
     __slots__ = ("origin", "rows", "cols", "wild", "colors", "violations")
 
-    def __init__(
-        self,
-        origin: tuple[int, int],
-        rows: int,
-        cols: int,
-        wild: tuple[tuple[bool, ...], ...],
-        colors: tuple[tuple[CellColor, ...], ...],
-        violations: tuple[Violation, ...],
-    ) -> None:
-        self._assign(origin, rows, cols, wild, colors, violations)
-
     @property
     def wild_count(self) -> int:
         return sum(sum(row) for row in self.wild)
@@ -437,21 +420,21 @@ def wildness_report(t: TilingModel, i0: int, j0: int, h: int, w: int) -> Wildnes
     """Per-cell wildness and display colors for the h x w window at (i0, j0).
 
     All of it comes from one frame of payloads, the region grown by a cell
-    on each side.  Wildness is read off the wild torus, and from the frame's
-    det3 at the few cells whose 3x3 window meets an explicit numeric value.
+    on each side.  Wildness is read off the wild torus, and at the few cells
+    whose 3x3 window meets an explicit numeric value, off its explicit cells.
     Colors are the region's values, and violations list every 2x2 window
     whose top-left cell lies in the region.
     """
     if h < 1 or w < 1:
         raise ValidationError(f"window shape must be positive, got {h}x{w}")
-    torus, s = _wild_torus(t)
+    torus, s, explicit = _wild_torus(t)
     p, q = len(torus), len(torus[0])
     # Row i of the region is torus row i mod p, turned by (j0 - s*(i // p)) mod q.
     wild = [list((torus[i % p] * (w // q + 2))[(j0 - s * (i // p)) % q:][:w]) for i in range(i0, i0 + h)]
+    for (i, j), flag in explicit.items():
+        if 0 <= i - i0 < h and 0 <= j - j0 < w:
+            wild[i - i0][j - j0] = flag
     frame = t._rows(i0 - 1, j0 - 1, h + 2, w + 2)
-    for r, c in ((i - i0, j - j0) for i, j in _explicit_cells(t)):
-        if 0 <= r < h and 0 <= c < w:
-            wild[r][c] = bool(t.ring.reduce(det3([row[c:c + 3] for row in frame[r:r + 3]])))
     colors = _value_colors(t.ring, [row[1:w + 1] for row in frame[1:h + 1]])
     for i, line, flags in zip(count(i0), colors, wild):
         # A row's lattice positions are an arithmetic progression.
@@ -466,9 +449,6 @@ def wildness_report(t: TilingModel, i0: int, j0: int, h: int, w: int) -> Wildnes
 
 class DensitySample(_Frozen):
     __slots__ = ("radius", "wild", "total")
-
-    def __init__(self, radius: int, wild: int, total: int) -> None:
-        self._assign(radius, wild, total)
 
     @property
     def ratio(self) -> Fraction:
@@ -503,31 +483,27 @@ def _torus_basis(t: TilingModel) -> tuple[int, int, int]:
     return p, q, c
 
 
-def _wild_torus(t: TilingModel) -> tuple[tuple[tuple[bool, ...], ...], int]:
-    """(rows, c) with wild(i, j) = rows[i mod p][(j - c*(i // p)) mod q] on the
-    basis of _torus_basis, from the p*q det3s of one (p+2) x (q+2) window.
-    Explicit numeric values are left out: they can cancel in a det3, the
-    default cannot, so the cells of _explicit_cells need their own det3."""
+def _wild_torus(t: TilingModel) -> tuple[tuple[tuple[bool, ...], ...], int, dict[tuple[int, int], bool]]:
+    """(rows, c, explicit) with wild(i, j) = rows[i mod p][(j - c*(i // p)) mod q]
+    on the basis of _torus_basis, from the p*q det3s of one (p+2) x (q+2)
+    window, except at the cells of ``explicit``.  Explicit numeric values can
+    cancel in a det3, the default cannot, so ``explicit`` maps each cell whose
+    3x3 window meets one to the wildness of that cell's own det3."""
     p, q, c = _torus_basis(t)
+    explicit = {}
     if isinstance(t, Patched) and not t.is_formal():
+        cells = {(i + di, j + dj) for (i, j), _ in t.parameters.values for di in (-1, 0, 1) for dj in (-1, 0, 1)}
+        explicit = {(i, j): bool(t.ring.reduce(det3(t._rows(i - 1, j - 1, 3, 3)))) for i, j in cells}
         t = Patched(t.ring, t.base, t.lattice, NumericParameters((), t.parameters.default))
     wild = [bool(t.ring.reduce(d3)) for d3 in det3_scan(t._rows(-1, -1, p + 2, q + 2))]
-    return tuple(tuple(wild[r * q:(r + 1) * q]) for r in range(p)), c
-
-
-def _explicit_cells(t: TilingModel) -> set[tuple[int, int]]:
-    """The cells whose 3x3 window meets an explicit numeric value."""
-    if not isinstance(t, Patched) or t.is_formal():
-        return set()
-    return {(i + di, j + dj) for (i, j), _ in t.parameters.values
-            for di in (-1, 0, 1) for dj in (-1, 0, 1)}
+    return tuple(tuple(wild[r * q:(r + 1) * q]) for r in range(p)), c, explicit
 
 
 def wild_density_exact(t: TilingModel) -> Fraction:
     """Wild cells per fundamental domain of the wild torus."""
     from fractions import Fraction  # here, as in DensitySample.ratio
 
-    rows, _ = _wild_torus(t)
+    rows, _, _ = _wild_torus(t)
     return Fraction(sum(map(sum, rows)), len(rows) * len(rows[0]))
 
 
@@ -544,13 +520,11 @@ def wild_density_windows(t: TilingModel, radii: Sequence[int]) -> tuple[DensityS
         raise UnsupportedOperationError(
             f"density would scan {cost} disc rows, over the bound of {_DENSITY_BUDGET}"
         )
-    rows, c = _wild_torus(t)
+    rows, c, explicit = _wild_torus(t)
     p, q = len(rows), len(rows[0])
     residues = [[k for k, wild in enumerate(row) if wild] for row in rows]
-    # The torus leaves out explicit numeric values: recount the cells they
-    # reach, each from the det3 of its 3x3 window.
-    fixes = {(i, j): bool(t.ring.reduce(det3(t._rows(i - 1, j - 1, 3, 3))))
-             - rows[i % p][(j - c * (i // p)) % q] for i, j in _explicit_cells(t)}
+    # Recount the cells that explicit numeric values reach.
+    fixes = {(i, j): flag - rows[i % p][(j - c * (i // p)) % q] for (i, j), flag in explicit.items()}
     samples = []
     for r in radii:
         wild = sum(d for (i, j), d in fixes.items() if i * i + j * j <= r * r)
@@ -567,9 +541,6 @@ class AuditFinding(_Frozen):
     """A cell where one of the structural identities failed."""
 
     __slots__ = ("i", "j", "check", "detail")
-
-    def __init__(self, i: int, j: int, check: str, detail: str) -> None:
-        self._assign(i, j, check, detail)
 
 
 def window_colors(win: Window) -> list[list[CellColor]]:

@@ -861,6 +861,9 @@ class TestErrorLines:
         (["generate", "wildest", "--params", "0=5"], "parameter index must be positive, got 0"),
         (["search", "--oracle", "--modulus", "1"], "need modulus >= 2 and a block of at least 2x2"),
         (["search", "--oracle", "--modulus", "3", "--rows", "1"], "need modulus >= 2 and a block of at least 2x2"),
+        (["density", "unit.grid", "--radii", "-1"], "radius must be nonnegative, got -1"),
+        (["density", "unit.grid", "--radii", "2500000"],
+         "density would scan 5000001 disc rows, over the bound of 5000000"),
     ])
     def test_argument_error(self, tmp_path, monkeypatch, capsys, argv, message):
         monkeypatch.chdir(tmp_path)

@@ -100,6 +100,10 @@ class TestParsing:
         assert isinstance(win, Window)
         assert win.origin == (0, 0)
 
+    def test_blank_lines_around_the_document(self):
+        doc = "sl2tiling v1\nring: Z/7\nkind: periodic\nrows: 1\ncols: 2\n\n-3 6\n"
+        assert parse_grid("\n  \n" + doc + "\n\n") == parse_grid(doc)
+
     def test_variable_tokens(self):
         doc = "sl2tiling v1\nring: Z[a]\nkind: window\nrows: 1\ncols: 3\n\na3 -a1 2*a2\n"
         win = parse_grid(doc)

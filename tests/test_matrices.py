@@ -10,12 +10,15 @@ from sl2tilings import (
     POLYNOMIALS,
     Matrix,
     ModularRing,
+    StructuralError,
     UnsupportedOperationError,
+    ValidationError,
     bareiss_rank,
     corner_det3,
     det2,
     det3,
     solve_linear_congruence,
+    write_grid,
 )
 from sl2tilings.matrices import det2_scan, det3_scan
 
@@ -221,7 +224,32 @@ class TestCornerDet3:
         assert got == want
 
 
+STRUCTURAL_REFUSALS = [
+    (lambda: Matrix.from_rows(INTEGERS, []), "matrix needs at least one row and one column"),
+    (lambda: Matrix.from_ints(INTEGERS, [[1, 2], [3]]), "ragged rows"),
+    (lambda: Matrix.from_rows(INTEGERS, [[INTEGERS.value(1), POLYNOMIALS.value(1)]]),
+     "entry does not belong to the matrix ring"),
+    (lambda: Matrix.from_ints(INTEGERS, [[1, 1], [0, 1]]).at(2, 0), "index (2, 0) outside 2x2"),
+    (lambda: Matrix.from_rows(POLYNOMIALS, [[POLYNOMIALS.variable(1)]]).to_int_rows(),
+     "matrix has non-constant entries"),
+    (lambda: INTEGERS.value(1) + 1, "expected a ring value, got int"),
+    (lambda: write_grid(object()), "cannot serialize object"),
+]
+
+
+@pytest.mark.parametrize("build, message", STRUCTURAL_REFUSALS)
+def test_structural_refusals(build, message):
+    with pytest.raises(StructuralError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 class TestCongruence:
+    def test_modulus_below_two_refused(self):
+        with pytest.raises(ValidationError) as exc:
+            solve_linear_congruence(1, 0, 1)
+        assert str(exc.value) == "modulus must be at least 2, got 1"
+
     def test_known_solutions(self):
         assert list(solve_linear_congruence(2, 2, 4)) == [1, 3]
         assert list(solve_linear_congruence(3, 1, 7)) == [5]

@@ -668,7 +668,7 @@ class TestDensity:
         # with a default value; the catalog; and a rule whose wild mask a shear
         # of the wrong sign would move.  Each on a window of two periods each way.
         def torus_shape(t):
-            rows, c = tiling._wild_torus(t)
+            rows, c, _ = tiling._wild_torus(t)
             p, q = len(rows), len(rows[0])
             for i in range(-p, p):
                 for j in range(-q, q):

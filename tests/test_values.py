@@ -132,6 +132,36 @@ def test_equality_across_classes_and_values():
     assert len({Z.value(3), Z.value(3), POLYNOMIALS.value(3)}) == 2
 
 
+@pytest.mark.parametrize("value, fields, text", VALUES, ids=IDS)
+def test_every_class_builds_by_keyword(value, fields, text):
+    astuple = tuple(getattr(value, name) for name in fields)
+    assert type(value)(**dict(zip(fields, astuple))) == value
+
+
+@pytest.mark.parametrize("value, fields, text", VALUES, ids=IDS)
+def test_wrong_arguments_raise_type_error(value, fields, text):
+    cls, astuple = type(value), tuple(getattr(value, name) for name in fields)
+    # One field too few, unless the last field has a default.
+    if fields and not cls.__init__.__defaults__:
+        with pytest.raises(TypeError):
+            cls(*astuple[:-1])
+    with pytest.raises(TypeError):
+        cls(*astuple, None)
+    with pytest.raises(TypeError):
+        cls(*astuple, unknown=None)
+
+
+def test_record_type_error_names_the_fields():
+    message = "Window takes the fields (matrix, origin)"
+    for build in (lambda: Window(WINDOW.matrix), lambda: Window(WINDOW.matrix, (0, 0), 1),
+                  lambda: Window(WINDOW.matrix, origin=(0, 0), size=1),
+                  lambda: Window(WINDOW.matrix, matrix=WINDOW.matrix)):
+        with pytest.raises(TypeError) as exc:
+            build()
+        assert str(exc.value) == message
+    assert Window(WINDOW.matrix, origin=(2, -1)) == Window(origin=(2, -1), matrix=WINDOW.matrix) == WINDOW
+
+
 def test_keyword_construction():
     assert SublatticeSpec(u=3, v=1, m=10, t=6) == WILDEST
     assert RenderOptions(cell_size=10, labels=True) == RenderOptions(10, True)
