@@ -154,22 +154,19 @@ def corner_det3(center: Scalar, corners: Iterable[Scalar]) -> Scalar:
     return (a + c + g + i) + (c * g - a * i) * center
 
 
-def solve_linear_congruence(a: int, c: int, modulus: int) -> range:
-    """All x in [0, modulus) with a*x = c (mod modulus), ascending.
+def _progression(a: int, c: int, modulus: int) -> tuple[int, int] | None:
+    """(x0, step) with a*x = c (mod modulus) exactly when x = x0 (mod step),
+    0 <= x0 < step, or None when no x solves it."""
+    g = gcd(a, modulus)
+    step = modulus // g
+    return None if c % g else (c // g * pow(a // g, -1, step) % step, step)
 
-    The solutions are base + step*k with step = modulus / gcd(a, modulus),
-    so they come as ``range(base, modulus, step)``; an unsolvable congruence
-    gives an empty range.
-    """
+
+def solve_linear_congruence(a: int, c: int, modulus: int) -> range:
+    """All x in [0, modulus) with a*x = c (mod modulus), ascending: the
+    ``_progression`` x0 + step*k as ``range(x0, modulus, step)``, empty when
+    no x solves it."""
     if modulus < 2:
         raise ValidationError(f"modulus must be at least 2, got {modulus}")
-    a %= modulus
-    c %= modulus
-    g = gcd(a, modulus)
-    if c % g != 0:
-        return range(0)
-    if a == 0:
-        # Every residue solves 0 = 0; g == modulus here.
-        return range(modulus)
-    step = modulus // g
-    return range((c // g) * pow(a // g, -1, step) % step, modulus, step)
+    solutions = _progression(a, c, modulus)
+    return range(solutions[0], modulus, solutions[1]) if solutions else range(0)

@@ -20,12 +20,12 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left
 from functools import cache, partial
-from itertools import accumulate, chain, compress, count
-from math import gcd, isqrt, lcm
+from itertools import chain, compress, count
+from math import gcd, isqrt
 from typing import Callable, Iterator, Mapping, Sequence, Union
 
 from .errors import StructuralError, UnsupportedOperationError, ValidationError, _Frozen
-from .matrices import Matrix, corner_det3, det2_scan, det3, det3_scan
+from .matrices import Matrix, _progression, corner_det3, det2_scan, det3, det3_scan
 from .rings import (
     POLYNOMIALS,
     IntegerRing,
@@ -89,61 +89,56 @@ ParameterAssignment = Union[FormalParameters, NumericParameters]
 # counted row by row in closed form, so no cell is visited and nothing is kept.
 
 
-def _count_congruent(lo: int, hi: int, a: int, q: int) -> int:
-    """|{j in [lo, hi] : j = a (mod q)}|."""
-    if hi < lo:
-        return 0
-    return (hi - a) // q - (lo - 1 - a) // q
-
-
 def _lattice_row(lattice: SublatticeSpec, i: int) -> tuple[int, int] | None:
     """(a, q) with (i, j) on the lattice iff j = a (mod q), 0 <= a < q, or None."""
-    g = gcd(lattice.v, lattice.m)
-    rhs, q = lattice.t - lattice.u * i, lattice.m // g
-    return None if rhs % g else (rhs // g * pow(lattice.v // g, -1, q) % q, q)
-
-
-def _lattice_row_count(lattice: SublatticeSpec, i: int, lo: int, hi: int) -> int:
-    """|{j in [lo, hi) : (i, j) on the lattice}|."""
-    row = _lattice_row(lattice, i)
-    return _count_congruent(lo, hi - 1, *row) if row else 0
+    return _progression(lattice.v, lattice.t - lattice.u * i, lattice.m)
 
 
 def _box_bounds(lattice: SublatticeSpec, t: int) -> tuple[int, int]:
     return -lattice.m * t, lattice.m + 2 + lattice.m * t
 
 
-def _box_prefix(lattice: SublatticeSpec, t: int) -> Callable[[int, int], int]:
-    """f(i, j) = lattice positions of box t before (i, j) in row-major order.
+def _box_prefix(lattice: SublatticeSpec, t: int) -> Callable[[int, int, tuple[int, int] | None], int]:
+    """f(i, j, row) = lattice positions of box t before (i, j) in row-major
+    order, with row = _lattice_row(lattice, i).
 
-    Rows r and r + m meet the lattice alike, so box t's m row classes are
-    counted once here, and f costs O(1) a call.
+    Box t is m(2t + 1) + 2 columns wide.  With s = lattice.t and g = gcd(v, m),
+    a row r holds g(2t + 1) positions in the first m(2t + 1) columns when
+    u*r = s (mod g), and one in each of the last two, 0 and 1 mod m, when
+    u*r = s or u*r = s - v (mod m): the full rows before i are three
+    progressions.
     """
     if t < 0:
-        return lambda i, j: 0
-    m = lattice.m
+        return lambda i, j, row: 0
+    u, v, m, s = lattice.u, lattice.v, lattice.m, lattice.t
     lo, hi = _box_bounds(lattice, t)
-    counts = (_lattice_row_count(lattice, lo + k, lo, hi) for k in range(m))
-    sums = list(accumulate(counts, initial=0))
+    # Per kind (n, q, c): n positions on each of its rows r = a (mod q), whose
+    # rows in [lo, lo + x) number (x + c) // q with c = q - 1 - a, as q divides
+    # lo (so does a row's step, below); a kind with no rows has n = 0.
+    g = gcd(v, m)
+    kinds = (g * (2 * t + 1), _progression(u, s, g)), (1, _progression(u, s, m)), (1, _progression(u, s - v, m))
+    (n0, q0, c0), (n1, q1, c1), (n2, q2, c2) = [(n, p[1], p[1] - 1 - p[0]) if p else (0, 1, 0) for n, p in kinds]
 
-    def prefix(i: int, j: int) -> int:
-        rows = min(max(i, lo), hi) - lo
-        partial = _lattice_row_count(lattice, i, lo, min(j, hi)) if lo <= i < hi else 0
-        return rows // m * sums[m] + sums[rows % m] + partial
+    def prefix(i: int, j: int, row: tuple[int, int] | None) -> int:
+        x = min(max(i, lo), hi) - lo
+        full = n0 * ((x + c0) // q0) + n1 * ((x + c1) // q1) + n2 * ((x + c2) // q2)
+        if row and lo <= i < hi:
+            full += (min(max(j, lo), hi) - lo + row[1] - 1 - row[0]) // row[1]
+        return full
 
     return prefix
 
 
 def _box_count(lattice: SublatticeSpec, t: int) -> int:
-    return _box_prefix(lattice, t)(_box_bounds(lattice, t)[1], 0)
+    return _box_prefix(lattice, t)(_box_bounds(lattice, t)[1], 0, None)
 
 
-def _numbered_before(lattice: SublatticeSpec, t: int) -> Callable[[int, int], int]:
-    """f(i, j) = parameter numbers taken before (i, j), for (i, j) in shell t
-    (box t less box t - 1)."""
+def _numbered_before(lattice: SublatticeSpec, t: int) -> Callable[[int, int, tuple[int, int] | None], int]:
+    """f(i, j, row) = parameter numbers taken before (i, j), for (i, j) in
+    shell t (box t less box t - 1), with row = _lattice_row(lattice, i)."""
     inner, outer = _box_prefix(lattice, t - 1), _box_prefix(lattice, t)
-    before = inner(_box_bounds(lattice, t - 1)[1], 0)
-    return lambda i, j: before + outer(i, j) - inner(i, j)
+    before = _box_count(lattice, t - 1)
+    return lambda i, j, row: before + outer(i, j, row) - inner(i, j, row)
 
 
 def _shell(lattice: SublatticeSpec, i: int, j: int) -> int:
@@ -155,7 +150,7 @@ def parameter_index(lattice: SublatticeSpec, i: int, j: int) -> int:
     """1-based parameter number of a lattice position under the box scan."""
     if not lattice.contains(i, j):
         raise StructuralError(f"({i}, {j}) is not on the sublattice")
-    return _numbered_before(lattice, _shell(lattice, i, j))(i, j) + 1
+    return _numbered_before(lattice, _shell(lattice, i, j))(i, j, _lattice_row(lattice, i)) + 1
 
 
 def parameter_position(lattice: SublatticeSpec, index: int) -> tuple[int, int]:
@@ -168,8 +163,9 @@ def parameter_position(lattice: SublatticeSpec, index: int) -> tuple[int, int]:
     t = bisect_left(range(isqrt(index) + 1), index, key=lambda s: _box_count(lattice, s))
     before = _numbered_before(lattice, t)
     cells = range(*_box_bounds(lattice, t))
-    i = cells[bisect_left(cells, index, key=lambda r: before(r + 1, cells[0]))]
-    j = cells[bisect_left(cells, index, key=lambda c: before(i, c + 1))]
+    i = cells[bisect_left(cells, index, key=lambda r: before(r + 1, cells[0], None))]
+    row = _lattice_row(lattice, i)
+    j = cells[bisect_left(cells, index, key=lambda c: before(i, c + 1, row))]
     return i, j
 
 
@@ -231,9 +227,10 @@ class Patched(_Frozen):
     """A rule background with its sublattice zeros replaced by parameters.
 
     Construction requires the background to vanish on every lattice position,
-    checked over one full period; parameters are nonzero by type invariant,
-    so every 2x2 determinant that touches a parameter multiplies it by a
-    background zero and the verification below stays assignment-independent.
+    checked at no more than 16 that meet every background value it meets;
+    parameters are nonzero by type invariant, so every 2x2 determinant that
+    touches a parameter multiplies it by a background zero and the
+    verification below stays assignment-independent.
     """
 
     __slots__ = ("ring", "base", "lattice", "parameters")
@@ -252,11 +249,13 @@ class Patched(_Frozen):
                     raise ValidationError(f"parameter position {pos} is off the sublattice")
         if base.ring != ring:
             raise ValidationError("background ring differs from the model ring")
-        # The background repeats mod 4 in j - i, so the first 4 lattice
-        # columns of a row show every background value the row meets.
-        for i in range(lcm(lattice.m, 4)):
-            row = _lattice_row(lattice, i)
-            for j in range(row[0], row[0] + 4 * row[1], row[1]) if row else ():
+        # The background repeats mod 4 in j - i.  The residues j - i (mod 4) of
+        # a row's positions repeat within 4 of them, and move by a fixed step
+        # from one row u*i = t (mod gcd(v, m)) to the next: 4 such rows suffice.
+        rows = _progression(lattice.u, lattice.t, gcd(lattice.v, lattice.m))
+        for i in range(rows[0], rows[0] + 4 * rows[1], rows[1]) if rows else ():
+            a, q = _lattice_row(lattice, i)
+            for j in range(a, a + 4 * q, q):
                 if not base.entry(i, j).is_zero():
                     raise ValidationError(
                         f"background is nonzero at lattice position ({i}, {j})"
@@ -285,7 +284,7 @@ class Patched(_Frozen):
                 a, q = progression
                 cols = range(j0 + (a - j0) % q, j0 + w, q)
                 row[cols.start - j0::q] = [value_at(i, j) for j in cols] if value_at else [
-                    _Poly.of_variable(numbered_before(_shell(lattice, i, j))(i, j) + 1) for j in cols]
+                    _Poly.of_variable(numbered_before(_shell(lattice, i, j))(i, j, progression) + 1) for j in cols]
         return rows
 
 
@@ -477,9 +476,11 @@ def _torus_basis(t: TilingModel) -> tuple[int, int, int]:
     else:
         u, v, m = t.lattice.u, t.lattice.v, t.lattice.m
         k = 2 if all(t.base.table[n] == -t.base.table[n - 2] for n in range(4)) else 4
-        q = lcm(m // gcd(v, m), k)
-        p, c = next((a, b) for a in count(1) for b in range(q)
-                    if (u * a + v * b) % m == 0 and (a - b) % k == 0)
+        # (a, a + k*s) lies in L iff (u + v)*a + v*k*s = 0 (mod m), solvable in s
+        # iff g = gcd(v*k, m) divides (u + v)*a; then a + k*s is unique mod q.
+        g = gcd(v * k, m)
+        q, p = k * m // g, g // gcd(u + v, g)
+        c = (p + k * _progression(v * k, -(u + v) * p, m)[0]) % q
     return p, q, c
 
 
@@ -532,7 +533,9 @@ def wild_density_windows(t: TilingModel, radii: Sequence[int]) -> tuple[DensityS
         for i in range(-r, r + 1):
             half = isqrt(r * r - i * i)
             total += 2 * half + 1
-            wild += sum(_count_congruent(-half, half, k + c * (i // p), q) for k in residues[i % p])
+            # The j in [-half, half] with j = k + shift (mod q), for each residue k.
+            shift = c * (i // p)
+            wild += sum((half - shift - k) // q - (-half - 1 - shift - k) // q for k in residues[i % p])
         samples.append(DensitySample(r, wild, total))
     return tuple(samples)
 

@@ -201,6 +201,26 @@ class TestPolynomials:
                 for got, want in ((x * y, dict_mul(x, y)), (x + y, dict_add(x, y))):
                     assert got == want and canonical(got), (x, y)
 
+    def test_constant_factor_multiplies_no_monomials(self, monkeypatch):
+        # A constant times a multi-term polynomial, in either order, scales
+        # the coefficients: no monomial product, and the general product's value.
+        def general(x, y):
+            acc = {}
+            for mx, cx in x:
+                for my, cy in y:
+                    m = rings._mono_mul(mx, my)
+                    acc[m] = acc.get(m, 0) + cx * cy
+            return rings._canonical_terms(acc)
+
+        x = (var(1) * var(2) + const(3) * var(3) - var(1)).payload
+        products = {c.payload: general(c.payload, x) for c in (const(1), const(-1), const(5))}
+        calls = []
+        mono_mul = rings._mono_mul
+        monkeypatch.setattr(rings, "_mono_mul", lambda a, b: calls.append(1) or mono_mul(a, b))
+        for c, want in products.items():
+            assert c * x == x * c == want
+        assert len(x) == 3 and not calls
+
     def test_cancellation_to_zero(self):
         a1 = var(1)
         assert (a1 - a1).is_zero()

@@ -185,6 +185,11 @@ class TestConfig:
         with pytest.raises(ValidationError):
             SearchConfig(4, worker_count=0)
 
+    def test_defaults(self):
+        config = SearchConfig(5)
+        assert (config.rows, config.cols, config.prune_nonunits, config.node_budget, config.worker_count) == (
+            4, 4, False, None, 1)
+
 
 class TestSearch:
     def test_2x2_never_fully_wild(self):
@@ -399,6 +404,18 @@ class TestDeadRows:
         calls = _walk_every_row(monkeypatch)
         assert [_budgeted(config, b) for b in budgets] == counted
         assert calls
+
+    @pytest.mark.parametrize("prune, dead", [(False, 36), (True, 24)])
+    def test_dead_row_0_is_counted_not_walked(self, monkeypatch, prune, dead):
+        # The first orbit of row 0 is (0, 0, 0, 0), which has no successor:
+        # its |D| candidates at (1, 0) are counted at once.  Walking them would
+        # solve the congruence of the cell after each.
+        def forbidden(*args):
+            raise AssertionError("a dead row 0 was walked")
+
+        assert next(sl2tilings.search._row_orbits(36, 4, 4, prune))[0] == (0, 0, 0, 0)
+        monkeypatch.setattr(sl2tilings.search, "solve_linear_congruence", forbidden)
+        assert sl2tilings.search._dfs((36, 4, 4, prune, slice(0, 1), None)) == ((), dead, False)
 
 
 class TestWorkers:

@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from types import SimpleNamespace
 
 import pytest
@@ -87,6 +87,68 @@ def lattice_sweep(tables, m_max=8):
                         yield Patched(ring, base, lat, params)
                     except ValidationError:
                         continue
+
+
+# Oracles for the lattice arithmetic of tiling.py, by mechanisms whose cost
+# grows with m: each row's progression by its own arithmetic, the
+# construction check as a walk over one period of lcm(m, 4) rows, the torus
+# basis by a search over translations, and the numbering from a table of box
+# t's m row classes.
+
+
+def oracle_row(lattice, i):
+    """(a, q) with (i, j) on the lattice iff j = a (mod q), or None."""
+    g = gcd(lattice.v, lattice.m)
+    rhs, q = lattice.t - lattice.u * i, lattice.m // g
+    return None if rhs % g else (rhs // g * pow(lattice.v // g, -1, q) % q, q)
+
+
+def walked_background_fault(base, lattice):
+    """The message of the first background nonzero on the lattice, row-major
+    over the first 4 lattice columns of each row of one period, or None."""
+    for i in range(lcm(lattice.m, 4)):
+        row = oracle_row(lattice, i)
+        for j in range(row[0], row[0] + 4 * row[1], row[1]) if row else ():
+            if base.entry(i, j).payload:
+                return f"background is nonzero at lattice position ({i}, {j})"
+    return None
+
+
+def searched_torus_basis(t):
+    """(p, q, c): the least p > 0 of a translation (p, c) in the torus lattice,
+    its least c >= 0, and the least q > 0 of a translation (0, q)."""
+    u, v, m = t.lattice.u, t.lattice.v, t.lattice.m
+    k = 2 if all(t.base.table[n] == -t.base.table[n - 2] for n in range(4)) else 4
+    q = lcm(m // gcd(v, m), k)
+    p, c = next((a, b) for a in itertools.count(1) for b in range(q)
+                if (u * a + v * b) % m == 0 and (a - b) % k == 0)
+    return p, q, c
+
+
+def tabled_numbered_before(lattice, t):
+    """f(i, j) = parameter numbers taken before (i, j) in shell t, from the
+    prefix sums of box t's m row classes: rows r and r + m meet alike."""
+    m = lattice.m
+
+    def row_count(i, lo, hi):
+        row = oracle_row(lattice, i)
+        return max(0, (hi - 1 - row[0]) // row[1] - (lo - 1 - row[0]) // row[1]) if row else 0
+
+    def box_prefix(s):
+        if s < 0:
+            return lambda i, j: 0
+        lo, hi = -m * s, m + 2 + m * s
+        sums = list(itertools.accumulate((row_count(lo + k, lo, hi) for k in range(m)), initial=0))
+
+        def prefix(i, j):
+            rows = min(max(i, lo), hi) - lo
+            return rows // m * sums[m] + sums[rows % m] + (row_count(i, lo, min(j, hi)) if lo <= i < hi else 0)
+
+        return prefix
+
+    inner, outer = box_prefix(t - 1), box_prefix(t)
+    before = inner(m * t + 2, 0)
+    return lambda i, j: before + outer(i, j) - inner(i, j)
 
 
 class TestSublattice:
@@ -180,6 +242,66 @@ class TestParameterCounting:
                 parameter_index(lat, 0, 0)
 
 
+class TestClosedForms:
+    # Every lattice with m <= 12: the closed forms against the oracles above.
+    # The four SL2 tables, and two without table[n + 2] = -table[n], one of
+    # them (0, 0, 0, 1), whose one nonzero can first be met at the 4th
+    # position of a row or on the 4th row that meets the lattice.
+    TABLES = ((0, 1, 0, -1), (1, 0, -1, 0), (0, -1, 0, 1), (-1, 0, 1, 0), (0, 0, 1, -1), (0, 0, 0, 1))
+
+    def test_construction_and_basis_match_the_walk_and_the_search(self):
+        built = 0
+        for table in self.TABLES:
+            base = RuleBased(INTEGERS, tuple(INTEGERS.value(v) for v in table))
+            for m in range(1, 13):
+                for u, v, t in itertools.product(range(m), repeat=3):
+                    lat = SublatticeSpec(u, v, m, t)
+                    fault = walked_background_fault(base, lat)
+                    if fault:
+                        with pytest.raises(ValidationError) as err:
+                            Patched(INTEGERS, base, lat, NumericParameters((), 1))
+                        assert str(err.value) == fault
+                        continue
+                    model = Patched(INTEGERS, base, lat, NumericParameters((), 1))
+                    assert tiling._torus_basis(model) == searched_torus_basis(model), (table, lat)
+                    built += 1
+        assert built == 6_728
+
+    def test_numbering_matches_the_row_class_table(self):
+        # Indices 1..200 on every lattice with m <= 4, and a seeded sample of
+        # them, first and last included, on every lattice with m <= 12.  The
+        # table's number of the position found proves it the right one.
+        rng = random.Random(12)
+        for m in range(1, 13):
+            for spec in itertools.product(range(m), range(m), [m], range(m)):
+                lat = SublatticeSpec(*spec)
+                if lat.t % gcd(lat.u, lat.v, m):
+                    continue
+                shells = {}
+                indices = range(1, 201) if m <= 4 else [1, 200, *rng.sample(range(2, 200), 6)]
+                for k in indices:
+                    i, j = parameter_position(lat, k)
+                    t = tiling._shell(lat, i, j)
+                    before = shells.get(t) or shells.setdefault(t, tabled_numbered_before(lat, t))
+                    assert lat.contains(i, j) and before(i, j) + 1 == k, (lat, k)
+                    assert parameter_index(lat, i, j) == k
+
+    def test_lattice_of_modulus_10_to_the_12(self):
+        m = 10**12
+        lat = SublatticeSpec(3, 1, m, 6)
+        t = Patched(POLYNOMIALS, wildest_integer_tiling(FormalParameters()).base, lat, FormalParameters())
+        # (1, m - 3) and (0, m) are translations of the torus lattice: 3a + b = 0
+        # (mod m) and a = b (mod 2).
+        assert tiling._torus_basis(t) == (1, m, m - 3)
+        # A position near row 10**7, its number, and a 4x4 window holding it.
+        i, j = 10**7, 6 - 3 * 10**7
+        k = parameter_index(lat, i, j)
+        assert parameter_position(lat, k) == (i, j)
+        win = extract_window(t, i - 1, j - 2, 4, 4)
+        assert win.at(1, 2).payload.single_variable() == k
+        assert sum(lat.contains(r, s) for r in range(i - 1, i + 3) for s in range(j - 2, j + 2)) == 1
+
+
 class TestModels:
     def test_rule_table_lookup(self):
         t = unit_tiling()
@@ -245,17 +367,18 @@ class TestModels:
                         Patched(INTEGERS, base, lat, NumericParameters((), 1))
                     assert str(err.value) == f"background is nonzero at lattice position {first}"
 
-    def test_background_check_is_linear_in_m(self, monkeypatch):
-        # At most 4 background entries a row of one period, and no cell scan.
-        calls = []
+    def test_background_check_is_constant_in_m(self, monkeypatch):
+        # At most 4 background entries on each of 4 rows, and no cell scan.
+        entries, scans = [], []
         entry, contains = RuleBased.entry, SublatticeSpec.contains
-        monkeypatch.setattr(RuleBased, "entry", lambda *a: calls.append(1) or entry(*a))
-        monkeypatch.setattr(SublatticeSpec, "contains", lambda *a: calls.append(1) or contains(*a))
+        monkeypatch.setattr(RuleBased, "entry", lambda *a: entries.append(1) or entry(*a))
+        monkeypatch.setattr(SublatticeSpec, "contains", lambda *a: scans.append(1) or contains(*a))
         base = wildest_integer_tiling().base
-        for lat in (SublatticeSpec(3, 1, 2000, 6), SublatticeSpec(2, 2, 2000, 0)):
-            calls.clear()
-            Patched(INTEGERS, base, lat, NumericParameters((), 1))
-            assert len(calls) <= 4 * 2000
+        for m in (2000, 10**12):
+            for lat in (SublatticeSpec(3, 1, m, 6), SublatticeSpec(2, 2, m, 0)):
+                entries.clear()
+                Patched(INTEGERS, base, lat, NumericParameters((), 1))
+                assert len(entries) <= 16 and not scans
 
     def test_patched_parameter_ring_pairing(self):
         t = wildest_integer_tiling()
